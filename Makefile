@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build fmt vet lint fuzz test race allocs bench apicheck apigen loadsmoke clustersmoke clusterbench
+.PHONY: check build fmt vet lint fuzz test race allocs bench apicheck apigen loadsmoke clustersmoke
 
 # check is the CI gate: formatting, static analysis (go vet plus the
 # fdavet invariant analyzers), the public-API surface diff, the full
@@ -73,40 +73,24 @@ test:
 race:
 	$(GO) test -race -timeout 45m ./...
 
-# bench runs the suite once and records a machine-readable report in
-# BENCH_PR9.json (op, ns/op, bytes, custom metrics, env metadata) so the
-# perf trajectory is tracked across PRs (BENCH_PR2.json holds the
-# pre-fused-kernel baseline, BENCH_PR3.json the fused-kernel one,
-# BENCH_PR5.json the transport-fabric one, BENCH_PR6.json the warm-start
-# one, BENCH_PR7.json the telemetry one). The raw text still prints.
-# Figure/sweep benches run once (each iteration is a whole experiment);
-# the step-, kernel-, fabric- and telemetry-level benches run 100
-# iterations so the recorded hot-path numbers are steady-state rather
-# than cold-start noise. The Fabric series contrasts the in-process,
-# simulated-network and loopback-TCP AllReduce; the LocalStepSession
-# ObsOff/ObsOn pair and the Obs micro benches price the telemetry layer
-# in both states (disabled must be unmeasurable, DESIGN.md §11). The
-# Workload series prices the load-generation machinery (DESIGN.md §13):
-# schedule expansion, trace serialization, open-loop dispatch.
+# bench is a run-once smoke of every benchmark selection (-benchtime
+# 1x): it proves the figure/sweep, step/kernel/fabric/telemetry and
+# workload benchmarks still compile and run, and records nothing.
+# Performance evidence comes from the benchmark in perfbench/
+# (bash perfbench/run.sh), comparing two revisions on one machine.
 bench:
-	@$(GO) test -run '^$$' -bench '^Benchmark(Table2|Figure|Ablation|Sweep|RunWorkers)' \
-		-benchtime 1x -benchmem -timeout 0 . > bench.raw.txt \
-		|| { cat bench.raw.txt; rm -f bench.raw.txt; exit 1; }
-	@$(GO) test -run '^$$' -bench '^Benchmark(LocalStep|Kernel|Fabric|Obs)' \
-		-benchtime 100x -benchmem -timeout 0 . >> bench.raw.txt \
-		|| { cat bench.raw.txt; rm -f bench.raw.txt; exit 1; }
-	@$(GO) test -run '^$$' -bench '^BenchmarkWorkload' \
-		-benchtime 100x -benchmem -timeout 0 ./internal/workload >> bench.raw.txt \
-		|| { cat bench.raw.txt; rm -f bench.raw.txt; exit 1; }
-	@$(GO) run ./cmd/benchjson -in bench.raw.txt -out BENCH_PR9.json
-	@rm -f bench.raw.txt
-	@echo "wrote BENCH_PR9.json"
+	$(GO) test -run '^$$' -bench '^Benchmark(Table2|Figure|Ablation|Sweep|RunWorkers)' \
+		-benchtime 1x -benchmem -timeout 0 .
+	$(GO) test -run '^$$' -bench '^Benchmark(LocalStep|Kernel|Fabric|Obs)' \
+		-benchtime 1x -benchmem -timeout 0 .
+	$(GO) test -run '^$$' -bench '^BenchmarkWorkload' \
+		-benchtime 1x -benchmem -timeout 0 ./internal/workload
 
 # loadsmoke is the load-path CI gate (DESIGN.md §13): boot a real
 # fdaserve with the admission cap armed, drive two seconds of Poisson
 # traffic through fdaload's default mix, and validate the report —
-# nonzero completed work, zero unexpected errors (-check exits
-# non-zero otherwise).
+# nonzero completed work, zero unexpected errors — and then the
+# replica's GET /metrics exposition (-check exits non-zero otherwise).
 loadsmoke:
 	@rm -rf .loadsmoke && mkdir -p .loadsmoke
 	@$(GO) build -o .loadsmoke/ ./cmd/fdaserve ./cmd/fdaload
@@ -124,8 +108,9 @@ loadsmoke:
 
 # clustersmoke is the scale-out CI gate (DESIGN.md §14): three fdaserve
 # replicas on one shared store behind fdagate, two seconds of Poisson
-# traffic through the gateway, and the fdaload report gated on zero
-# unexpected errors with at most 25% shed load.
+# traffic through the gateway, the fdaload report gated on zero
+# unexpected errors with at most 25% shed load, and the gateway's
+# GET /metrics exposition validated after the traffic.
 clustersmoke:
 	@rm -rf .clustersmoke && mkdir -p .clustersmoke
 	@$(GO) build -o .clustersmoke/ ./cmd/fdaserve ./cmd/fdagate ./cmd/fdaload
@@ -147,9 +132,3 @@ clustersmoke:
 		-mix train=1,status=4,store=1 -steps 10 -k 1 -eval-every 10 \
 		-out .clustersmoke/report.json -check -max-rejected 0.25
 	@rm -rf .clustersmoke
-
-# clusterbench reproduces the committed BENCH_PR10.json: 1/2/4-replica
-# ramps through fdagate folded into one capacity report by
-# `fdagate -analyze` (see scripts/clusterbench.sh for the methodology).
-clusterbench:
-	@./scripts/clusterbench.sh BENCH_PR10.json

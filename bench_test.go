@@ -257,9 +257,8 @@ func BenchmarkSweepParallel(b *testing.B)   { benchSweepJobs(b, fda.AutoParallel
 // grid over a fresh snapshot store, so each Θ series' later cells
 // restore the prefix its earlier cells published. Records are
 // bit-identical either way — the wall-clock gap between the two is the
-// figure-sweep series BENCH_PR6.json tracks, and the _Warm variant
-// reports how many cells restored and how many steps the restores
-// skipped.
+// warm-start saving, and the _Warm variant reports how many cells
+// restored and how many steps the restores skipped.
 func BenchmarkSweepThetaCold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if recs := experiments.ThetaSweep(benchOpts()); len(recs) == 0 {
@@ -322,8 +321,8 @@ func benchStep(b *testing.B, model string) {
 }
 
 // BenchmarkLocalStep isolates the per-step training cost of one worker on
-// the smallest zoo model — the headline number of the PR 3 fused-kernel
-// overhaul (tracked in BENCH_PR3.json against the PR 2 baseline).
+// the smallest zoo model — the number the fused kernels of
+// internal/tensor exist to move.
 func BenchmarkLocalStep(b *testing.B) { benchStep(b, "lenet5s") }
 
 // BenchmarkLocalStepDenseNet covers the largest conv stack (three conv
@@ -410,10 +409,10 @@ func itoa(n int) string {
 
 // benchSessionStep times one end-to-end Session.Step of a K=4 lenet5s
 // run — strategy bookkeeping, fabric collectives and telemetry gates
-// included. The ObsOff/ObsOn pair is the headline contrast tracked in
-// BENCH_PR7.json: with telemetry disabled the instrumentation must cost
-// one atomic load per gate, i.e. be unmeasurable against ObsOff's
-// baseline noise.
+// included. The ObsOff/ObsOn pair is the telemetry layer's headline
+// contrast: with telemetry disabled the instrumentation must cost one
+// atomic load per gate, i.e. be unmeasurable against ObsOff's baseline
+// noise.
 func benchSessionStep(b *testing.B, enable bool) {
 	if enable {
 		fda.EnableTelemetry()

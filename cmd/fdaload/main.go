@@ -3,10 +3,9 @@
 // arrival process × job mix × duration × seed — into a bit-identical
 // request schedule, executes it open-loop with bounded in-flight
 // concurrency, and emits a JSON report with per-kind latency
-// percentiles, throughput, error and rejection counts in the benchjson
-// report shape. It can also replay a trace recorded by
-// `fdaserve -record` and step the arrival rate to locate the
-// saturation knee.
+// percentiles, throughput, error and rejection counts. It can also
+// replay a trace recorded by `fdaserve -record` and step the arrival
+// rate to locate the saturation knee.
 //
 //	# 10s of Poisson traffic at 50 req/s: 1 train per 4 status polls per 1 catalog read
 //	fdaload -addr http://localhost:8080 -rate 50 -duration 10s \
@@ -27,6 +26,11 @@
 // function of spec+seed; -export writes it as a tracev1 file without
 // touching the server, which is how the schedule-parity tests pin
 // bit-identical generation.
+//
+// With -check (the loadsmoke/clustersmoke CI gate) the run must complete
+// work with zero unexpected errors, and afterwards every -addr target's
+// GET /metrics must parse as Prometheus text and hold at least one
+// sample — the exposition is validated after real traffic.
 package main
 
 import (
@@ -46,6 +50,7 @@ import (
 	"time"
 
 	"repro/internal/buildinfo"
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -78,7 +83,7 @@ func main() {
 		inflight    = flag.Int("inflight", 4096, "max concurrent in-flight requests (open loop; stalls are counted, not hidden)")
 		rampFlag    = flag.String("ramp", "", "comma-separated offered rates; run -duration at each and locate the saturation knee")
 		out         = flag.String("out", "", "write the JSON report here (default: stdout)")
-		check       = flag.Bool("check", false, "exit non-zero unless the run completed work (ok > 0) with zero unexpected errors")
+		check       = flag.Bool("check", false, "exit non-zero unless the run completed work (ok > 0) with zero unexpected errors and every -addr target then serves a valid, non-empty GET /metrics")
 		maxRejected = flag.Float64("max-rejected", 1, "-check: maximum tolerated rejection rate (rejected/issued, 0..1); 1 allows any amount of shed load")
 		version     = flag.Bool("version", false, "print version information and exit")
 	)
@@ -174,7 +179,11 @@ func main() {
 	summarize(os.Stderr, rep)
 
 	if *check {
-		if err := checkReport(rep, *maxRejected); err != nil {
+		err := checkReport(rep, *maxRejected)
+		if err == nil {
+			err = checkExpositions(splitBases(*addr))
+		}
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "fdaload: check failed: %v\n", err)
 			os.Exit(1)
 		}
@@ -383,6 +392,42 @@ func checkReport(rep workload.Report, maxRejected float64) error {
 	return nil
 }
 
+// checkExpositions is the exposition half of -check: each base's GET
+// /metrics must answer 200, pass obs.ValidatePrometheusText and hold at
+// least one sample.
+func checkExpositions(bases []string) error {
+	client := &http.Client{Timeout: 30 * time.Second}
+	for _, base := range bases {
+		resp, err := client.Get(base + "/metrics")
+		if err != nil {
+			return fmt.Errorf("scraping %s/metrics: %w", base, err)
+		}
+		body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+		resp.Body.Close()
+		if err != nil {
+			return fmt.Errorf("scraping %s/metrics: %w", base, err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("scraping %s/metrics: status %d", base, resp.StatusCode)
+		}
+		text := string(body)
+		if err := obs.ValidatePrometheusText(text); err != nil {
+			return fmt.Errorf("%s/metrics: %w", base, err)
+		}
+		samples := 0
+		for _, line := range strings.Split(text, "\n") {
+			if line != "" && !strings.HasPrefix(line, "#") {
+				samples++
+			}
+		}
+		if samples == 0 {
+			return fmt.Errorf("%s/metrics holds no samples", base)
+		}
+		fmt.Fprintf(os.Stderr, "fdaload: %s/metrics ok (%d samples)\n", base, samples)
+	}
+	return nil
+}
+
 func summarize(w io.Writer, rep workload.Report) {
 	s := rep.Load
 	fmt.Fprintf(w, "fdaload: %d issued, %d ok, %d rejected, %d conflicts, %d errors in %.2fs (%.1f req/s achieved, max %d in flight)\n",
@@ -459,17 +504,22 @@ func newHTTPTarget(base string) *httpTarget {
 		MaxIdleConns:        1 << 14,
 		MaxIdleConnsPerHost: 1 << 14,
 	}
+	return &httpTarget{
+		bases:  splitBases(base),
+		idBase: map[string]string{},
+		client: &http.Client{Transport: tr, Timeout: 5 * time.Minute},
+	}
+}
+
+// splitBases parses the comma-separated -addr list into base URLs.
+func splitBases(addr string) []string {
 	var bases []string
-	for _, b := range strings.Split(base, ",") {
+	for _, b := range strings.Split(addr, ",") {
 		if b = strings.TrimRight(strings.TrimSpace(b), "/"); b != "" {
 			bases = append(bases, b)
 		}
 	}
-	return &httpTarget{
-		bases:  bases,
-		idBase: map[string]string{},
-		client: &http.Client{Transport: tr, Timeout: 5 * time.Minute},
-	}
+	return bases
 }
 
 // pickID returns a submitted job id round-robin with the base that owns

@@ -9,8 +9,9 @@ import (
 
 // TestDrainAndDerivedRetryAfter pins the scale-out admission surface: the
 // drain toggle refuses new work while letting in-flight jobs finish, the
-// /v1/metrics admission block mirrors the gate, and over-cap 503s carry a
-// Retry-After derived from observed job runtimes rather than a constant.
+// admission gauges and /v1/healthz mirror the gate, and over-cap 503s
+// carry a Retry-After derived from observed job runtimes rather than a
+// constant.
 func TestDrainAndDerivedRetryAfter(t *testing.T) {
 	s, ts := loadServer(t, t.TempDir())
 	s.maxQueue = 2
@@ -23,7 +24,7 @@ func TestDrainAndDerivedRetryAfter(t *testing.T) {
 	awaitDone(t, ts.URL, warm.ID)
 
 	// Drain on: healthz degrades, submissions bounce with the draining
-	// flag set, reads and the admission block stay live.
+	// flag set, reads and the admission gauges stay live.
 	postJSON(t, ts.URL+"/v1/drain", "", http.StatusOK, nil)
 	var hz struct {
 		Status  string `json:"status"`
@@ -42,10 +43,9 @@ func TestDrainAndDerivedRetryAfter(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("submission while draining = %d, want 503", resp.StatusCode)
 	}
-	var m metricsView
-	getJSON(t, ts.URL+"/v1/metrics", http.StatusOK, &m)
-	if !m.Admission.Draining || m.Admission.MaxQueue != 2 {
-		t.Fatalf("admission block %+v, want draining=true max_queue=2", m.Admission)
+	m := getMetrics(t, ts.URL)
+	if m.GaugeSum("fdaserve_draining") != 1 || m.GaugeSum("fdaserve_jobs_max_queue") != 2 {
+		t.Fatalf("admission gauges %+v, want draining=1 max_queue=2", m.Gauges)
 	}
 
 	// Drain off: the gate reopens.
@@ -80,9 +80,18 @@ func TestDrainAndDerivedRetryAfter(t *testing.T) {
 		t.Fatalf("Retry-After %q, want an integer in [1,30]", over.Header.Get("Retry-After"))
 	}
 
-	getJSON(t, ts.URL+"/v1/metrics", http.StatusOK, &m)
-	if m.Admission.InFlight != 2 || m.Admission.Draining {
-		t.Fatalf("admission block %+v, want in_flight=2 draining=false", m.Admission)
+	m = getMetrics(t, ts.URL)
+	if m.GaugeSum("fdaserve_jobs_in_flight") != 2 || m.GaugeSum("fdaserve_draining") != 0 {
+		t.Fatalf("admission gauges %+v, want in_flight=2 draining=0", m.Gauges)
+	}
+	var adm struct {
+		Status   string `json:"status"`
+		InFlight int64  `json:"in_flight"`
+		MaxQueue int64  `json:"max_queue"`
+	}
+	getJSON(t, ts.URL+"/v1/healthz", http.StatusOK, &adm)
+	if adm.Status != "ok" || adm.InFlight != 2 || adm.MaxQueue != 2 {
+		t.Fatalf("healthz admission state %+v, want ok in_flight=2 max_queue=2", adm)
 	}
 
 	for _, id := range []string{j1.ID, j2.ID} {

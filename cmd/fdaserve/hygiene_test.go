@@ -135,10 +135,8 @@ func TestJournalRecovery(t *testing.T) {
 	if v.Cells != 2 || v.Executed != 1 {
 		t.Fatalf("recovered job lost its progress counters: %+v", v)
 	}
-	var m metricsView
-	getJSON(t, ts2.URL+"/v1/metrics", http.StatusOK, &m)
-	if m.Jobs.Interrupted != 1 {
-		t.Fatalf("metrics interrupted = %d, want 1", m.Jobs.Interrupted)
+	if got := getMetrics(t, ts2.URL).GaugeSum("fdaserve_jobs", "status", statusInterrupted); got != 1 {
+		t.Fatalf("metrics interrupted = %g, want 1", got)
 	}
 	// Records of an interrupted job are a conflict, not a null payload.
 	getJSON(t, ts2.URL+"/v1/runs/r7/records", http.StatusConflict, nil)

@@ -17,9 +17,9 @@
 //
 //	fdaserve -store runs.d -addr :8080 -fabric :9000
 //
-//	curl -s localhost:8080/v1/healthz                 # JSON liveness
+//	curl -s localhost:8080/v1/healthz                 # liveness, identity, admission headroom
 //	curl -s localhost:8080/metrics                    # Prometheus text exposition
-//	curl -s localhost:8080/v1/metrics                 # jobs, simulated bytes, telemetry snapshot
+//	curl -s localhost:8080/v1/metrics                 # the same registry as JSON
 //	curl -s localhost:8080/v1/experiments
 //	curl -s -X POST localhost:8080/v1/runs -d '{"experiment":"fig3","scale":"tiny","seed":1}'
 //	curl -s -X POST localhost:8080/v1/train -d '{"model":"lenet5s","strategy":"LinearFDA","steps":400}'
@@ -29,6 +29,11 @@
 //	curl -s localhost:8080/v1/runs/r1/records
 //	curl -s localhost:8080/v1/runs/r1/output
 //	curl -s localhost:8080/v1/store
+//
+// Every metric — job counts by status, admission headroom, simulated
+// bytes, store size, session, fabric and HTTP telemetry — lives in the
+// one obs registry; GET /metrics renders it as Prometheus text and
+// GET /v1/metrics as JSON (DESIGN.md §11).
 //
 // The server shuts down gracefully on SIGINT/SIGTERM: in-flight run
 // contexts are cancelled (training sessions write resume checkpoints,
@@ -64,7 +69,7 @@ func main() {
 		warm     = flag.Bool("warmstart", true, "reuse trajectory-prefix snapshots across sweep cells sharing a trajectory (records stay bit-identical; wall clock drops)")
 		ttl      = flag.Duration("session-ttl", 7*24*time.Hour, "expire orphaned session checkpoints and prefix snapshots older than this at startup (0 disables the sweep)")
 		pprofOn  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-		name     = flag.String("name", "", "replica identity reported on /v1/metrics and /v1/healthz (for fdagate clusters; default: the listen address)")
+		name     = flag.String("name", "", "replica identity reported on /v1/healthz (for fdagate clusters; default: the listen address)")
 		maxQueue = flag.Int("max-queue", 0, "admission cap on in-flight jobs; beyond it new submissions get 503 + Retry-After (0 = unbounded)")
 		record   = flag.String("record", "", "journal every workload-relevant API request to this tracev1 file, replayable with fdaload -replay")
 		version  = flag.Bool("version", false, "print version information and exit")

@@ -6,6 +6,8 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -17,28 +19,36 @@ import (
 )
 
 // TestHealthzAndMetrics covers the liveness and metrics endpoints:
-// healthz responds before any job exists, and metrics reflects job
+// healthz responds before any job exists and carries the admission
+// state the gateway polls, and the registry's job gauges reflect job
 // lifecycle counts, uptime and the simulated-bytes aggregate after a
 // run completes.
 func TestHealthzAndMetrics(t *testing.T) {
 	ts := testServer(t, t.TempDir())
 
-	var hz map[string]string
-	getJSON(t, ts.URL+"/v1/healthz", http.StatusOK, &hz)
-	if hz["status"] != "ok" {
-		t.Fatalf("healthz = %v", hz)
+	var hz struct {
+		Status   string `json:"status"`
+		Version  string `json:"version"`
+		InFlight *int64 `json:"in_flight"`
+		MaxQueue *int64 `json:"max_queue"`
 	}
-	if hz["version"] == "" {
+	getJSON(t, ts.URL+"/v1/healthz", http.StatusOK, &hz)
+	if hz.Status != "ok" {
+		t.Fatalf("healthz = %+v", hz)
+	}
+	if hz.Version == "" {
 		t.Fatal("healthz carries no version")
 	}
-
-	var m metricsView
-	getJSON(t, ts.URL+"/v1/metrics", http.StatusOK, &m)
-	if m.Jobs.Total != 0 || m.BytesSimulated != 0 {
-		t.Fatalf("fresh server metrics: %+v", m)
+	if hz.InFlight == nil || *hz.InFlight != 0 || hz.MaxQueue == nil {
+		t.Fatalf("healthz lacks the admission state: %+v", hz)
 	}
-	if m.UptimeSec < 0 {
-		t.Fatalf("negative uptime %v", m.UptimeSec)
+
+	m := getMetrics(t, ts.URL)
+	if m.GaugeSum("fdaserve_jobs") != 0 || m.GaugeSum("fdaserve_simulated_bytes") != 0 {
+		t.Fatalf("fresh server metrics: %+v", m.Gauges)
+	}
+	if m.GaugeSum("fdaserve_uptime_seconds") < 0 {
+		t.Fatalf("negative uptime %v", m.GaugeSum("fdaserve_uptime_seconds"))
 	}
 
 	// Run one tiny sweep to completion, then the counters must move.
@@ -46,16 +56,25 @@ func TestHealthzAndMetrics(t *testing.T) {
 	postJSON(t, ts.URL+"/v1/runs", `{"experiment":"smoke","scale":"tiny","seed":1}`, http.StatusAccepted, &v)
 	waitStatus(t, ts, v.ID, statusDone)
 
-	getJSON(t, ts.URL+"/v1/metrics", http.StatusOK, &m)
-	if m.Jobs.Done != 1 || m.Jobs.Total != 1 || m.Jobs.Running != 0 {
-		t.Fatalf("post-run job counts: %+v", m.Jobs)
+	m = getMetrics(t, ts.URL)
+	if m.GaugeSum("fdaserve_jobs", "status", statusDone) != 1 || m.GaugeSum("fdaserve_jobs") != 1 ||
+		m.GaugeSum("fdaserve_jobs", "status", statusRunning) != 0 {
+		t.Fatalf("post-run job counts: %+v", m.Gauges)
 	}
-	if m.BytesSimulated <= 0 {
-		t.Fatalf("completed sweep contributed %d simulated bytes", m.BytesSimulated)
+	if got := m.GaugeSum("fdaserve_simulated_bytes"); got <= 0 {
+		t.Fatalf("completed sweep contributed %g simulated bytes", got)
 	}
-	if m.StoreRuns <= 0 {
-		t.Fatalf("completed sweep left %d cached runs", m.StoreRuns)
+	if got := m.GaugeSum("fdaserve_store_runs"); got <= 0 {
+		t.Fatalf("completed sweep left %g cached runs", got)
 	}
+}
+
+// getMetrics fetches GET /v1/metrics and returns its registry snapshot.
+func getMetrics(t *testing.T, base string) obs.Snap {
+	t.Helper()
+	var doc obs.MetricsDoc
+	getJSON(t, base+"/v1/metrics", http.StatusOK, &doc)
+	return doc.Telemetry
 }
 
 // TestPromMetricsEndpoint covers GET /metrics: after HTTP traffic and a
@@ -63,8 +82,6 @@ func TestHealthzAndMetrics(t *testing.T) {
 // carries the per-route HTTP latency histogram, the job run-time and
 // queue-wait histograms, the session counters and the runtime samples.
 func TestPromMetricsEndpoint(t *testing.T) {
-	obs.Enable()
-	defer obs.Disable()
 	ts := testServer(t, t.TempDir())
 
 	getJSON(t, ts.URL+"/v1/healthz", http.StatusOK, nil)
@@ -101,17 +118,143 @@ func TestPromMetricsEndpoint(t *testing.T) {
 	}
 
 	// The JSON twin carries the registry snapshot and runtime samples.
-	var m metricsView
-	getJSON(t, ts.URL+"/v1/metrics", http.StatusOK, &m)
-	if len(m.Telemetry.Counters) == 0 || len(m.Telemetry.Histograms) == 0 {
-		t.Fatalf("telemetry snapshot empty: %+v", m.Telemetry)
+	var doc obs.MetricsDoc
+	getJSON(t, ts.URL+"/v1/metrics", http.StatusOK, &doc)
+	if len(doc.Telemetry.Counters) == 0 || len(doc.Telemetry.Histograms) == 0 {
+		t.Fatalf("telemetry snapshot empty: %+v", doc.Telemetry)
 	}
-	if m.Telemetry.CounterSum("fda_steps_total") <= 0 {
+	if doc.Telemetry.CounterSum("fda_steps_total") <= 0 {
 		t.Fatal("fda_steps_total missing from the /v1/metrics snapshot")
 	}
-	if _, ok := m.Runtime["go_sched_goroutines"]; !ok {
-		t.Fatalf("runtime samples missing goroutine count: %+v", m.Runtime)
+	if _, ok := doc.Runtime["go_sched_goroutines"]; !ok {
+		t.Fatalf("runtime samples missing goroutine count: %+v", doc.Runtime)
 	}
+}
+
+// TestMetricsOneSource pins that /v1/metrics and /metrics are two
+// renderings of one registry: after a sweep and a train job, every
+// gauge and counter the JSON serves appears in the Prometheus scrape
+// with the same value — including the job counts by status and the
+// simulated bytes. The JSON read is bracketed by two
+// scrapes; a series stable across the bracket must match exactly, and
+// one that moves (the HTTP counters of these very requests, uptime)
+// must lie within it.
+func TestMetricsOneSource(t *testing.T) {
+	ts := testServer(t, t.TempDir())
+	var sweep, train jobView
+	postJSON(t, ts.URL+"/v1/runs", `{"experiment":"smoke","scale":"tiny","seed":3}`, http.StatusAccepted, &sweep)
+	postJSON(t, ts.URL+"/v1/train",
+		`{"model":"lenet5s","strategy":"LinearFDA","k":2,"batch":8,"steps":8,"eval_every":4,"seed":6}`,
+		http.StatusAccepted, &train)
+	waitStatus(t, ts, sweep.ID, statusDone)
+	waitStatus(t, ts, train.ID, statusDone)
+
+	before := scrape(t, ts.URL)
+	snap := getMetrics(t, ts.URL)
+	after := scrape(t, ts.URL)
+
+	series := map[string]float64{}
+	for _, c := range snap.Counters {
+		series[seriesKey(c.Name, c.Labels)] = float64(c.Value)
+	}
+	for _, g := range snap.Gauges {
+		series[seriesKey(g.Name, g.Labels)] = g.Value
+	}
+	for key, v := range series {
+		lo, okLo := before[key]
+		hi, okHi := after[key]
+		if !okLo || !okHi {
+			t.Fatalf("%s = %g on /v1/metrics but absent from /metrics", key, v)
+		}
+		if v < lo || v > hi {
+			t.Fatalf("%s = %g on /v1/metrics, outside the bracketing scrapes [%g, %g]", key, v, lo, hi)
+		}
+	}
+	for key, want := range map[string]float64{
+		`fdaserve_jobs{status="done"}`:    2,
+		`fdaserve_jobs{status="running"}`: 0,
+		`fdaserve_jobs_in_flight`:         0,
+	} {
+		if series[key] != want || before[key] != want || after[key] != want {
+			t.Fatalf("%s: json %g, scrapes %g/%g, want %g", key, series[key], before[key], after[key], want)
+		}
+	}
+	if b := series["fdaserve_simulated_bytes"]; b <= 0 || before["fdaserve_simulated_bytes"] != b {
+		t.Fatalf("simulated bytes: json %g, scrape %g", b, before["fdaserve_simulated_bytes"])
+	}
+}
+
+// scrape fetches GET /metrics and indexes its samples by seriesKey.
+func scrape(t *testing.T, base string) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := readAll(t, resp)
+	if err := obs.ValidatePrometheusText(body); err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]float64{}
+	for _, line := range strings.Split(body, "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		sp := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[sp+1:], 64)
+		if err != nil {
+			t.Fatalf("sample %q: %v", line, err)
+		}
+		name, block, _ := strings.Cut(line[:sp], "{")
+		labels := map[string]string{}
+		for _, pair := range splitLabelPairs(strings.TrimSuffix(block, "}")) {
+			k, val, _ := strings.Cut(pair, "=")
+			labels[k] = strings.NewReplacer(`\\`, `\`, `\"`, `"`, `\n`, "\n").Replace(strings.Trim(val, `"`))
+		}
+		out[seriesKey(name, labels)] = v
+	}
+	return out
+}
+
+// splitLabelPairs splits a k="v",... block on the commas outside
+// quoted values.
+func splitLabelPairs(block string) []string {
+	var parts []string
+	quoted, start := false, 0
+	for i := 0; i < len(block); i++ {
+		switch block[i] {
+		case '\\':
+			i++
+		case '"':
+			quoted = !quoted
+		case ',':
+			if !quoted {
+				parts = append(parts, block[start:i])
+				start = i + 1
+			}
+		}
+	}
+	if start < len(block) {
+		parts = append(parts, block[start:])
+	}
+	return parts
+}
+
+// seriesKey renders name{k="v",...} with labels in sorted order.
+func seriesKey(name string, labels map[string]string) string {
+	if len(labels) == 0 {
+		return name
+	}
+	keys := make([]string, 0, len(labels))
+	for k := range labels {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	pairs := make([]string, len(keys))
+	for i, k := range keys {
+		pairs[i] = k + "=" + strconv.Quote(labels[k])
+	}
+	return name + "{" + strings.Join(pairs, ",") + "}"
 }
 
 // TestAccessLog pins the structured access log: one line per request
@@ -207,10 +350,8 @@ func TestTrainDistributedEndToEnd(t *testing.T) {
 		t.Fatalf("distributed job ran %d steps, want 16", final.Steps)
 	}
 
-	var m metricsView
-	getJSON(t, ts.URL+"/v1/metrics", http.StatusOK, &m)
-	if m.BytesSimulated <= 0 {
-		t.Fatalf("distributed run contributed %d simulated bytes", m.BytesSimulated)
+	if got := getMetrics(t, ts.URL).GaugeSum("fdaserve_simulated_bytes"); got <= 0 {
+		t.Fatalf("distributed run contributed %g simulated bytes", got)
 	}
 }
 

@@ -12,9 +12,11 @@ import (
 
 // This file is fdaserve's observability surface (DESIGN.md §11): the
 // instrument middleware wraps the whole API with per-route latency
-// histograms, status-code counters and a structured access log, and
-// GET /metrics exposes the process-wide registry — session, fabric,
-// runstore and HTTP telemetry alike — as Prometheus text.
+// histograms, status-code counters and a structured access log; the
+// server-derived gauges are registered here and refreshed by sample();
+// and GET /metrics / GET /v1/metrics serve the process-wide registry —
+// session, fabric, runstore, HTTP and job telemetry alike — through the
+// obs handler pair.
 
 // Job scheduling telemetry. Queue wait is the admission→start interval
 // (zero-ish under the in-process executor, real under a queueing one);
@@ -31,20 +33,84 @@ var (
 	// from failures.
 	jobsRejected = obs.Default.Counter("fdaserve_jobs_rejected_total",
 		"Job submissions refused by the -max-queue admission cap.")
-	// jobsInFlight/jobsMaxQueue expose the admission window as gauges so
-	// Prometheus (and fdagate's poller) can see headroom, not just
-	// rejections after the fact. Sampled at scrape time.
+	// The server-derived gauges below are refreshed by sample() right
+	// before either metrics endpoint reads the registry, so GET /metrics
+	// and GET /v1/metrics serve the same numbers from the same source.
 	jobsInFlight = obs.Default.Gauge("fdaserve_jobs_in_flight",
 		"Admitted jobs that have not reached a terminal status.")
 	jobsMaxQueue = obs.Default.Gauge("fdaserve_jobs_max_queue",
 		"The -max-queue admission cap (0 = unbounded).")
+	gDraining = obs.Default.Gauge("fdaserve_draining",
+		"1 while the replica refuses new submissions (POST /v1/drain), else 0.")
+	gBytesSimulated = obs.Default.Gauge("fdaserve_simulated_bytes",
+		"Communication volume accounted by every job finished since start.")
+	gStoreRuns = obs.Default.Gauge("fdaserve_store_runs",
+		"Cached run manifests in the run registry.")
+	gStoreSnapshots = obs.Default.Gauge("fdaserve_store_snapshots",
+		"Trajectory-prefix snapshots in the run registry.")
+	gSnapshotHits = obs.Default.Gauge("fdaserve_snapshot_hits",
+		"Sweep cells warm-started from a prefix snapshot, summed over jobs.")
+	gStepsSaved = obs.Default.Gauge("fdaserve_steps_saved",
+		"Training steps skipped by warm starts, summed over jobs.")
+	gUptime = obs.Default.Gauge("fdaserve_uptime_seconds",
+		"Seconds since the server started.")
 )
 
-// sampleAdmissionGauges refreshes the admission gauges from the live
-// counters; both metrics endpoints call it before reading the registry.
-func (s *server) sampleAdmissionGauges() {
+// jobStatuses are the fdaserve_jobs gauge's status labels: the job
+// status values, with "queued" split off "running" for admitted jobs
+// whose execute goroutine has not started yet.
+var jobStatuses = []string{"queued", statusRunning, statusDone, statusFailed, statusCancelled, statusInterrupted}
+
+var jobsByStatus = func() []*obs.Gauge {
+	gs := make([]*obs.Gauge, len(jobStatuses))
+	for i, st := range jobStatuses {
+		gs[i] = obs.Default.Gauge("fdaserve_jobs", "Jobs known to the server by status.", "status", st)
+	}
+	return gs
+}()
+
+// sample refreshes every server-derived gauge from live state. It runs
+// before either metrics endpoint reads the registry (sampled).
+func (s *server) sample() {
+	counts := map[string]int{}
+	var hits, saved int64
+	s.mu.Lock()
+	for _, j := range s.byID {
+		v := j.view()
+		st := v.Status
+		if st == statusRunning && j.startedNs.Load() == 0 {
+			st = "queued"
+		}
+		counts[st]++
+		hits += v.SnapshotHits
+		saved += v.StepsSaved
+	}
+	s.mu.Unlock()
+	for i, st := range jobStatuses {
+		jobsByStatus[i].Set(float64(counts[st]))
+	}
 	jobsInFlight.Set(float64(s.active.Load()))
 	jobsMaxQueue.Set(float64(s.maxQueue))
+	drain := 0.0
+	if s.draining.Load() {
+		drain = 1
+	}
+	gDraining.Set(drain)
+	gBytesSimulated.Set(float64(s.bytesSimulated.Load()))
+	gStoreRuns.Set(float64(s.store.Count()))
+	gStoreSnapshots.Set(float64(s.store.SnapshotCount()))
+	gSnapshotHits.Set(float64(hits))
+	gStepsSaved.Set(float64(saved))
+	gUptime.Set(time.Since(s.started).Seconds())
+}
+
+// sampled wraps one of the obs metrics handlers so the gauges it reads
+// are current.
+func (s *server) sampled(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		s.sample()
+		h(w, r)
+	}
 }
 
 func jobRunSeconds(kind string) *obs.Histogram {
@@ -146,16 +212,4 @@ func (s *server) instrument(next http.Handler) http.Handler {
 			s.accessLog.Info("access", attrs...)
 		}
 	})
-}
-
-// handlePromMetrics implements GET /metrics: the Prometheus text
-// exposition of the process-wide registry plus a fixed set of
-// runtime/metrics samples. GET /v1/metrics is its JSON twin.
-func (s *server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
-	s.sampleAdmissionGauges()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := obs.Default.WritePrometheus(w); err != nil {
-		return // client went away; nothing to salvage
-	}
-	_ = obs.WriteRuntimeMetrics(w)
 }

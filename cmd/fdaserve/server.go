@@ -53,8 +53,8 @@ type server struct {
 	accessLog *slog.Logger
 	// pprof mounts net/http/pprof under /debug/pprof/ when set.
 	pprof bool
-	// name is the replica identity (-name) reported on /v1/metrics and
-	// /v1/healthz so a gateway operator can tell replicas apart.
+	// name is the replica identity (-name) reported on /v1/healthz so a
+	// gateway operator can tell replicas apart.
 	name string
 	// maxQueue caps in-flight (admitted, not yet terminal) jobs; above
 	// it new submissions are rejected with 503 + Retry-After instead of
@@ -75,7 +75,7 @@ type server struct {
 	recorder *workload.TraceWriter
 	// wg tracks in-flight job goroutines for shutdown draining.
 	wg sync.WaitGroup
-	// started anchors the /v1/metrics uptime.
+	// started anchors the fdaserve_uptime_seconds gauge.
 	started time.Time
 	// bytesSimulated sums the communication accounting of every finished
 	// job (training Results and sweep records).
@@ -147,8 +147,8 @@ type job struct {
 	// admittedNs/startedNs are monotonic offsets from server start:
 	// admittedNs is stamped at creation, startedNs when an execute
 	// goroutine picks the job up (0 = still queued). Their difference
-	// feeds fdaserve_job_queue_wait_seconds and makes the /v1/metrics
-	// queued count truthful instead of hardwired to zero.
+	// feeds fdaserve_job_queue_wait_seconds and makes the
+	// fdaserve_jobs{status="queued"} count truthful.
 	admittedNs int64
 	startedNs  atomic.Int64
 
@@ -243,7 +243,7 @@ func (s *server) setStatus(j *job, status, errMsg string, result any) {
 }
 
 // simulatedBytes extracts the communication accounting of a finished
-// job's result for the /v1/metrics aggregate. Sweep records with
+// job's result for the fdaserve_simulated_bytes gauge. Sweep records with
 // nested accuracy targets share one training trajectory whose byte
 // counts are cumulative, so each grid cell contributes its maximum
 // CommGB once rather than the sum over targets. Unknown record shapes
@@ -286,10 +286,9 @@ func simulatedBytes(result any) int64 {
 
 // routes builds the API surface:
 //
-//	GET    /healthz                 liveness (bare text)
-//	GET    /metrics                 Prometheus text exposition
-//	GET    /v1/healthz              liveness (JSON)
-//	GET    /v1/metrics              job counts, admission headroom, telemetry snapshot
+//	GET    /metrics                 Prometheus text exposition of the obs registry
+//	GET    /v1/healthz              liveness, identity and admission headroom (JSON)
+//	GET    /v1/metrics              the same registry as JSON (obs.MetricsDoc)
 //	GET    /v1/version              build information
 //	POST   /v1/drain                stop admitting new jobs (for gateway rotation)
 //	DELETE /v1/drain                resume admitting
@@ -309,10 +308,7 @@ func simulatedBytes(result any) int64 {
 // (obs.go): per-route latency histograms, status counters, access log.
 func (s *server) routes() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("GET /metrics", s.handlePromMetrics)
+	mux.HandleFunc("GET /metrics", s.sampled(obs.Default.ServePrometheus))
 	if s.pprof {
 		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 		mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
@@ -321,7 +317,7 @@ func (s *server) routes() http.Handler {
 		mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	}
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
-	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
+	mux.HandleFunc("GET /v1/metrics", s.sampled(obs.Default.ServeJSON))
 	mux.HandleFunc("GET /v1/version", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"version": buildinfo.String("fdaserve")})
 	})
@@ -340,110 +336,22 @@ func (s *server) routes() http.Handler {
 	return s.instrument(s.record(mux))
 }
 
-// handleHealthz implements GET /v1/healthz: a JSON liveness probe (the
-// bare-text /healthz is kept for load balancers that predate the v1
-// surface).
+// handleHealthz implements GET /v1/healthz: liveness plus the replica's
+// identity and admission state — everything fdagate's load tracker
+// polls: status ("ok" or "draining"), the -name identity, and the
+// in-flight count against the -max-queue cap.
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	status := "ok"
 	if s.draining.Load() {
 		status = "draining"
 	}
-	writeJSON(w, http.StatusOK, map[string]string{
-		"status":  status,
-		"replica": s.name,
-		"version": buildinfo.String("fdaserve"),
+	writeJSON(w, http.StatusOK, map[string]any{
+		"status":    status,
+		"replica":   s.name,
+		"version":   buildinfo.String("fdaserve"),
+		"in_flight": s.active.Load(),
+		"max_queue": s.maxQueue,
 	})
-}
-
-// metricsView is the GET /v1/metrics payload.
-type metricsView struct {
-	// Replica is the -name identity; the gateway's load tracker adopts
-	// it as the replica's display name.
-	Replica   string  `json:"replica,omitempty"`
-	UptimeSec float64 `json:"uptime_sec"`
-	Jobs      struct {
-		Queued    int `json:"queued"`
-		Running   int `json:"running"`
-		Done      int `json:"done"`
-		Failed    int `json:"failed"`
-		Cancelled int `json:"cancelled"`
-		// Interrupted counts journaled jobs a previous server process
-		// left mid-run (resurrected at startup).
-		Interrupted int `json:"interrupted"`
-		Total       int `json:"total"`
-	} `json:"jobs"`
-	// Admission is the -max-queue cap's live state — the headroom
-	// signal fdagate's least-loaded router polls.
-	Admission struct {
-		InFlight int64 `json:"in_flight"`
-		MaxQueue int64 `json:"max_queue"`
-		Draining bool  `json:"draining"`
-	} `json:"admission"`
-	// BytesSimulated totals the communication accounting of every job
-	// finished since the server started (training results and sweep
-	// records).
-	BytesSimulated int64 `json:"bytes_simulated"`
-	// StoreRuns counts the cached run manifests in the registry;
-	// StoreSnapshots the trajectory-prefix snapshots beside them.
-	StoreRuns      int `json:"store_runs"`
-	StoreSnapshots int `json:"store_snapshots"`
-	// SnapshotHits/StepsSaved total the warm-start reuse across every
-	// sweep job: cells restored from a prefix snapshot and the training
-	// steps those restores skipped.
-	SnapshotHits int64 `json:"snapshot_hits"`
-	StepsSaved   int64 `json:"steps_saved"`
-	// Telemetry is the process-wide metrics registry snapshot — session
-	// step/sync timings, fabric byte counters, runstore latencies, HTTP
-	// and job histograms with p50/p95/p99 — the JSON twin of GET /metrics.
-	Telemetry obs.Snap `json:"telemetry"`
-	// Runtime carries a fixed set of runtime/metrics samples (goroutines,
-	// heap, GC cycles, mutex wait).
-	Runtime map[string]float64 `json:"runtime"`
-}
-
-// handleMetrics implements GET /v1/metrics: job counts by status,
-// simulated communication volume, uptime, and the registry snapshot.
-// Queued counts jobs admitted whose execute goroutine has not started
-// yet — under the in-process executor that window is one goroutine
-// handoff wide, so the count is usually zero but no longer hardwired.
-func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var m metricsView
-	m.UptimeSec = time.Since(s.started).Seconds()
-	s.mu.Lock()
-	for _, j := range s.byID {
-		v := j.view()
-		switch v.Status {
-		case statusRunning:
-			if j.startedNs.Load() == 0 {
-				m.Jobs.Queued++
-			} else {
-				m.Jobs.Running++
-			}
-		case statusDone:
-			m.Jobs.Done++
-		case statusFailed:
-			m.Jobs.Failed++
-		case statusCancelled:
-			m.Jobs.Cancelled++
-		case statusInterrupted:
-			m.Jobs.Interrupted++
-		}
-		m.Jobs.Total++
-		m.SnapshotHits += v.SnapshotHits
-		m.StepsSaved += v.StepsSaved
-	}
-	s.mu.Unlock()
-	m.Replica = s.name
-	m.Admission.InFlight = s.active.Load()
-	m.Admission.MaxQueue = int64(s.maxQueue)
-	m.Admission.Draining = s.draining.Load()
-	s.sampleAdmissionGauges()
-	m.BytesSimulated = s.bytesSimulated.Load()
-	m.StoreRuns = s.store.Count()
-	m.StoreSnapshots = s.store.SnapshotCount()
-	m.Telemetry = obs.Default.Snapshot()
-	m.Runtime = obs.RuntimeSample()
-	writeJSON(w, http.StatusOK, m)
 }
 
 func (s *server) handleExperiments(w http.ResponseWriter, r *http.Request) {
@@ -585,7 +493,7 @@ func (s *server) writeUnavailable(w http.ResponseWriter, cause error) {
 // reads and in-flight jobs) and DELETE /v1/drain (re-admit). Draining
 // is how an operator or orchestrator takes a replica out of a fdagate
 // rotation without killing in-flight work: the gateway's poller sees
-// admission.draining and routes new submissions elsewhere.
+// the "draining" healthz status and routes new submissions elsewhere.
 func (s *server) handleDrain(w http.ResponseWriter, r *http.Request) {
 	s.draining.Store(r.Method == http.MethodPost)
 	writeJSON(w, http.StatusOK, map[string]any{

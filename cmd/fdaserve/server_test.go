@@ -7,12 +7,22 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/runstore"
 )
+
+// TestMain runs the suite with telemetry on, as fdaserve itself always
+// does: the metrics endpoints render the obs registry, whose updates are
+// dropped while telemetry is off.
+func TestMain(m *testing.M) {
+	obs.Enable()
+	os.Exit(m.Run())
+}
 
 func testServer(t *testing.T, dir string) *httptest.Server {
 	t.Helper()
@@ -79,11 +89,7 @@ func awaitDone(t *testing.T, base, id string) jobView {
 func TestServeEndpointsAndValidation(t *testing.T) {
 	ts := testServer(t, t.TempDir())
 
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz: %v %v", resp.Status, err)
-	}
-	resp.Body.Close()
+	getJSON(t, ts.URL+"/v1/healthz", http.StatusOK, nil)
 
 	var version map[string]string
 	getJSON(t, ts.URL+"/v1/version", http.StatusOK, &version)

@@ -7,8 +7,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-
-	"repro/internal/workload"
 )
 
 // fakeClock is a manually advanced monotonic clock.
@@ -140,11 +138,11 @@ func TestCandidatesAffinityAndLoadOrder(t *testing.T) {
 	// first slot (cache hits beat load), with the rest ordered by load.
 	for _, r := range p.replicas {
 		r.mu.Lock()
-		r.load = 1
+		r.inflight = 1
 		r.mu.Unlock()
 	}
 	owner.mu.Lock()
-	owner.load = 100
+	owner.inflight = 100
 	owner.mu.Unlock()
 
 	cands := p.Candidates(addr)
@@ -244,17 +242,28 @@ func TestSplitID(t *testing.T) {
 	}
 }
 
+// TestPollAdoptsReplicaState pins the load tracker's one input: a
+// replica that serves nothing but /v1/healthz still has its identity,
+// in-flight count, admission cap and draining status adopted.
 func TestPollAdoptsReplicaState(t *testing.T) {
 	var draining atomic.Bool
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintf(w, `{"replica":"r-test","jobs":{"queued":2,"running":3},"admission":{"in_flight":5,"max_queue":8,"draining":%v}}`, draining.Load())
+		if r.URL.Path != "/v1/healthz" {
+			http.NotFound(w, r)
+			return
+		}
+		status := "ok"
+		if draining.Load() {
+			status = "draining"
+		}
+		fmt.Fprintf(w, `{"status":%q,"replica":"r-test","version":"fdaserve test","in_flight":5,"max_queue":8}`, status)
 	}))
 	defer ts.Close()
 	clk := &fakeClock{}
 	p := testPool(t, clk, ts.URL)
 	p.Poll(t.Context())
 	v := p.Views()[0]
-	if v.Name != "r-test" || v.Load != 5 || v.InFlight != 5 || v.MaxQueue != 8 || v.Draining {
+	if v.Name != "r-test" || v.InFlight != 5 || v.MaxQueue != 8 || v.Draining || !v.Healthy {
 		t.Fatalf("poll state not adopted: %+v", v)
 	}
 	draining.Store(true)
@@ -264,46 +273,5 @@ func TestPollAdoptsReplicaState(t *testing.T) {
 	}
 	if got := p.Candidates(""); len(got) != 0 {
 		t.Fatalf("draining replica still a candidate: %v", got)
-	}
-}
-
-func TestCapacityReportSpeedupAndRejection(t *testing.T) {
-	mk := func(replicas int, knees ...workload.RampLevel) CapacitySeries {
-		rep := workload.BuildReport(nil, workload.RunStats{}, knees)
-		return CapacitySeries{Replicas: replicas, Report: rep}
-	}
-	lvl := func(offered, achieved float64, issued, rejected int64) workload.RampLevel {
-		return workload.NewRampLevel(offered, workload.RunStats{
-			OfferedRPS: offered, AchievedRPS: achieved, Issued: issued, OK: issued - rejected, Rejected: rejected,
-		})
-	}
-	rep, err := BuildCapacityReport([]CapacitySeries{
-		mk(4, lvl(40, 40, 400, 0), lvl(80, 79, 800, 40)),
-		mk(1, lvl(20, 20, 200, 0), lvl(40, 22, 400, 180)),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Series) != 2 || rep.Series[0].Replicas != 1 || rep.Series[1].Replicas != 4 {
-		t.Fatalf("series not ordered by replica count: %+v", rep.Series)
-	}
-	if rep.Series[0].SaturationRPS != 20 || rep.Series[1].SaturationRPS != 80 {
-		t.Fatalf("knees wrong: %+v", rep.Series)
-	}
-	if got := rep.Series[1].Speedup; got != 4 {
-		t.Fatalf("speedup = %g, want 4", got)
-	}
-	wantRej := float64(180) / float64(600)
-	if got := rep.Series[0].RejectionRate; got != wantRej {
-		t.Fatalf("rejection rate = %g, want %g", got, wantRej)
-	}
-	if rep.Benchmarks[1].Op != "Cluster/replicas=4" {
-		t.Fatalf("benchmark op = %q", rep.Benchmarks[1].Op)
-	}
-	if _, err := BuildCapacityReport(nil); err == nil {
-		t.Fatal("empty series must error")
-	}
-	if _, err := BuildCapacityReport([]CapacitySeries{mk(2), mk(2)}); err == nil {
-		t.Fatal("duplicate replica counts must error")
 	}
 }

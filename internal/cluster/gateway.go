@@ -101,25 +101,19 @@ func NewGateway(pool *Pool, opt GatewayOptions) *Gateway {
 func (g *Gateway) Pool() *Pool { return g.pool }
 
 // Handler builds the gateway's route table. Every fdaserve v1 endpoint
-// is covered; /metrics and /v1/cluster are gateway-local.
+// is covered; /v1/healthz, /v1/cluster and the two metrics endpoints
+// are gateway-local. GET /metrics and GET /v1/metrics render the
+// gateway's own obs registry through the same handler pair fdaserve
+// mounts; per-replica state lives in /v1/cluster.
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := obs.Default.WritePrometheus(w); err != nil {
-			return
-		}
-		_ = obs.WriteRuntimeMetrics(w)
-	})
+	mux.HandleFunc("GET /metrics", obs.Default.ServePrometheus)
+	mux.HandleFunc("GET /v1/metrics", obs.Default.ServeJSON)
 	mux.HandleFunc("GET /v1/healthz", g.handleHealthz)
 	mux.HandleFunc("GET /v1/cluster", g.handleCluster)
 	mux.HandleFunc("GET /v1/version", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"version": g.version, "role": "gateway"})
 	})
-	mux.HandleFunc("GET /v1/metrics", g.handleMetrics)
 	mux.HandleFunc("GET /v1/experiments", g.proxyAny)
 	mux.HandleFunc("GET /v1/store", g.proxyAny)
 	mux.HandleFunc("GET /v1/runs", g.handleListRuns)
@@ -232,63 +226,6 @@ func (g *Gateway) handleCluster(w http.ResponseWriter, r *http.Request) {
 		"max_pending": cap(g.pending),
 		"pending":     len(g.pending),
 	})
-}
-
-// clusterMetrics is the GET /v1/metrics aggregate: replica job counts
-// summed across the pool plus the gateway's own telemetry snapshot.
-type clusterMetrics struct {
-	Jobs struct {
-		Queued    int64 `json:"queued"`
-		Running   int64 `json:"running"`
-		Done      int64 `json:"done"`
-		Failed    int64 `json:"failed"`
-		Cancelled int64 `json:"cancelled"`
-		Total     int64 `json:"total"`
-	} `json:"jobs"`
-	Replicas  []View             `json:"replicas"`
-	Telemetry obs.Snap           `json:"telemetry"`
-	Runtime   map[string]float64 `json:"runtime"`
-}
-
-func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var m clusterMetrics
-	type counts struct {
-		Jobs struct {
-			Queued, Running, Done, Failed, Cancelled, Total int64
-		} `json:"jobs"`
-	}
-	replicas := g.pool.Replicas()
-	views := make([]counts, len(replicas))
-	var wg sync.WaitGroup
-	for i, rep := range replicas {
-		wg.Add(1)
-		go func(i int, rep *Replica) {
-			defer wg.Done()
-			req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, rep.Base+"/v1/metrics", nil)
-			if err != nil {
-				return
-			}
-			resp, err := g.client.Do(req)
-			if err != nil {
-				return
-			}
-			defer resp.Body.Close()
-			_ = json.NewDecoder(io.LimitReader(resp.Body, 4<<20)).Decode(&views[i])
-		}(i, rep)
-	}
-	wg.Wait()
-	for _, v := range views {
-		m.Jobs.Queued += v.Jobs.Queued
-		m.Jobs.Running += v.Jobs.Running
-		m.Jobs.Done += v.Jobs.Done
-		m.Jobs.Failed += v.Jobs.Failed
-		m.Jobs.Cancelled += v.Jobs.Cancelled
-		m.Jobs.Total += v.Jobs.Total
-	}
-	m.Replicas = g.pool.Views()
-	m.Telemetry = obs.Default.Snapshot()
-	m.Runtime = obs.RuntimeSample()
-	writeJSON(w, http.StatusOK, m)
 }
 
 // handleSubmit routes a submission: content-address the body, walk the

@@ -9,10 +9,13 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // stubReplica is a minimal fdaserve stand-in: it accepts submissions,
-// serves id-scoped reads, and can be flipped into overload (503) or
+// serves id-scoped reads and the /v1/healthz the load tracker polls (no
+// metrics endpoint at all), and can be flipped into overload (503) or
 // dead (connection reset) states.
 type stubReplica struct {
 	ts       *httptest.Server
@@ -45,8 +48,8 @@ func newStubReplica(t *testing.T, name string) *stubReplica {
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintf(w, `{"id":%q,"status":"done","replica":%q}`+"\n", r.PathValue("id"), name)
 	})
-	mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintf(w, `{"replica":%q,"jobs":{"queued":0,"running":0},"admission":{"in_flight":0,"max_queue":0,"draining":false}}`, name)
+	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprintf(w, `{"status":"ok","replica":%q,"in_flight":0,"max_queue":0}`, name)
 	})
 	s.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if s.dead.Load() {
@@ -314,6 +317,49 @@ func TestGatewayMergesRunListings(t *testing.T) {
 	defer resp2.Body.Close()
 	if resp2.StatusCode != http.StatusOK || resp2.Header.Get("X-Fdagate-Partial") == "" {
 		t.Fatalf("degraded listing: status %d, partial header %q", resp2.StatusCode, resp2.Header.Get("X-Fdagate-Partial"))
+	}
+}
+
+// TestGatewayServesItsOwnRegistry pins the gateway's metrics surface:
+// GET /metrics and GET /v1/metrics render the gateway process's obs
+// registry (per-replica gauges, routing counters) like any other
+// process; the gateway fans out to no replica to answer them.
+func TestGatewayServesItsOwnRegistry(t *testing.T) {
+	clk := &fakeClock{}
+	stub := newStubReplica(t, "a")
+	_, ts := testGateway(t, clk, stub)
+	stub.dead.Store(true) // a fan-out would now fail; the registry must not care
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err := obs.ValidatePrometheusText(string(b)); err != nil {
+		t.Fatalf("gateway exposition does not parse: %v\n%s", err, b)
+	}
+	want := fmt.Sprintf(`fdagate_replica_up{replica=%q}`, stub.ts.URL)
+	if !strings.Contains(string(b), want) {
+		t.Fatalf("gateway exposition missing %s:\n%s", want, b)
+	}
+
+	resp, err = http.Get(ts.URL + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc obs.MetricsDoc
+	err = json.NewDecoder(resp.Body).Decode(&doc)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, g := range doc.Telemetry.Gauges {
+		found = found || (g.Name == "fdagate_replica_up" && g.Labels["replica"] == stub.ts.URL)
+	}
+	if !found || doc.Runtime["go_sched_goroutines"] < 1 {
+		t.Fatalf("gateway /v1/metrics lacks its registry or runtime sample: %+v", doc)
 	}
 }
 

@@ -54,14 +54,13 @@ type Replica struct {
 	fails            int // consecutive transport failures
 	quarantinedUntil int64
 	overloadedUntil  int64 // 503 Retry-After window
-	load             int64 // queued+running jobs at last poll
-	inflight         int64 // admission in-flight at last poll
+	inflight         int64 // admitted, non-terminal jobs at last poll
 	maxQueue         int64 // admission cap at last poll (0 = unbounded)
 	lastErr          string
 
 	// Per-replica gauges (label = base URL), refreshed on every poll
 	// and observation.
-	gUp, gLoad, gDispatched *obs.Gauge
+	gUp, gInFlight, gDispatched *obs.Gauge
 }
 
 // Prefix returns the replica's job-id namespace.
@@ -87,13 +86,14 @@ type View struct {
 	Draining bool   `json:"draining,omitempty"`
 	// Quarantined reports that the replica is parked behind a failure
 	// backoff window and excluded from routing until a probe succeeds.
-	Quarantined bool   `json:"quarantined,omitempty"`
-	Overloaded  bool   `json:"overloaded,omitempty"`
-	Load        int64  `json:"load"`
-	InFlight    int64  `json:"in_flight"`
-	MaxQueue    int64  `json:"max_queue,omitempty"`
-	Dispatched  int64  `json:"dispatched"`
-	LastError   string `json:"last_error,omitempty"`
+	Quarantined bool `json:"quarantined,omitempty"`
+	Overloaded  bool `json:"overloaded,omitempty"`
+	// InFlight is the replica's admitted, non-terminal job count at the
+	// last poll — its queue depth, the least-loaded routing signal.
+	InFlight   int64  `json:"in_flight"`
+	MaxQueue   int64  `json:"max_queue,omitempty"`
+	Dispatched int64  `json:"dispatched"`
+	LastError  string `json:"last_error,omitempty"`
 }
 
 // Pool tracks the replica set: health, load, and the deterministic
@@ -160,8 +160,8 @@ func NewPool(bases []string, opt Options) (*Pool, error) {
 			healthy: true, // optimistic: route before the first poll
 			gUp: obs.Default.Gauge("fdagate_replica_up",
 				"Replica availability: 1 healthy, 0 quarantined or unreachable.", "replica", base),
-			gLoad: obs.Default.Gauge("fdagate_replica_load",
-				"Queued plus running jobs at the replica's last /v1/metrics poll.", "replica", base),
+			gInFlight: obs.Default.Gauge("fdagate_replica_in_flight",
+				"Admitted, non-terminal jobs at the replica's last /v1/healthz poll.", "replica", base),
 			gDispatched: obs.Default.Gauge("fdagate_replica_dispatched",
 				"Gateway requests currently outstanding against the replica.", "replica", base),
 		}
@@ -234,9 +234,9 @@ func (p *Pool) Rank(address string) []*Replica {
 // between polls).
 func (r *Replica) score() int64 {
 	r.mu.Lock()
-	load := r.load
+	inflight := r.inflight
 	r.mu.Unlock()
-	return load + r.dispatched.Load()
+	return inflight + r.dispatched.Load()
 }
 
 // available reports whether the replica may receive new submissions:
@@ -386,26 +386,13 @@ func (p *Pool) RetryAfterSec() int {
 	return int(sec)
 }
 
-// replicaMetrics is the slice of fdaserve's GET /v1/metrics payload the
-// load tracker consumes.
-type replicaMetrics struct {
-	Replica string `json:"replica"`
-	Jobs    struct {
-		Queued  int64 `json:"queued"`
-		Running int64 `json:"running"`
-	} `json:"jobs"`
-	Admission struct {
-		InFlight int64 `json:"in_flight"`
-		MaxQueue int64 `json:"max_queue"`
-		Draining bool  `json:"draining"`
-	} `json:"admission"`
-}
-
-// Poll refreshes every replica's health and load from its /v1/metrics
-// endpoint. Healthy replicas are polled unconditionally; quarantined
-// ones only once their backoff window has elapsed (the poll doubles as
-// the rejoin probe — success clears the quarantine, failure doubles
-// it). Polls run concurrently; Poll returns when all complete.
+// Poll refreshes every replica's health and load from its /v1/healthz
+// endpoint, which carries everything routing needs: identity, the
+// draining status and the in-flight count against the admission cap.
+// Healthy replicas are polled unconditionally; quarantined ones only
+// once their backoff window has elapsed (the poll doubles as the rejoin
+// probe — success clears the quarantine, failure doubles it). Polls run
+// concurrently; Poll returns when all complete.
 func (p *Pool) Poll(ctx context.Context) {
 	var wg sync.WaitGroup
 	now := p.now()
@@ -426,7 +413,7 @@ func (p *Pool) Poll(ctx context.Context) {
 }
 
 func (p *Pool) pollOne(ctx context.Context, r *Replica) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.Base+"/v1/metrics", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.Base+"/v1/healthz", nil)
 	if err != nil {
 		p.OnTransportError(r, err)
 		return
@@ -437,28 +424,31 @@ func (p *Pool) pollOne(ctx context.Context, r *Replica) {
 		return
 	}
 	defer resp.Body.Close()
-	var m replicaMetrics
 	if resp.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-		p.OnTransportError(r, fmt.Errorf("poll %s/v1/metrics: status %d", r.Base, resp.StatusCode))
+		p.OnTransportError(r, fmt.Errorf("poll %s/v1/healthz: status %d", r.Base, resp.StatusCode))
 		return
 	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 4<<20)).Decode(&m); err != nil {
-		p.OnTransportError(r, fmt.Errorf("poll %s/v1/metrics: %w", r.Base, err))
+	var hz struct {
+		Status   string `json:"status"`
+		Replica  string `json:"replica"`
+		InFlight int64  `json:"in_flight"`
+		MaxQueue int64  `json:"max_queue"`
+	}
+	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&hz); err != nil {
+		p.OnTransportError(r, fmt.Errorf("poll %s/v1/healthz: %w", r.Base, err))
 		return
 	}
 	p.OnSuccess(r)
 	r.mu.Lock()
-	if m.Replica != "" {
-		r.name = m.Replica
+	if hz.Replica != "" {
+		r.name = hz.Replica
 	}
-	r.load = m.Jobs.Queued + m.Jobs.Running
-	r.inflight = m.Admission.InFlight
-	r.maxQueue = m.Admission.MaxQueue
-	r.draining = m.Admission.Draining
-	load := r.load
+	r.inflight = hz.InFlight
+	r.maxQueue = hz.MaxQueue
+	r.draining = hz.Status == "draining"
 	r.mu.Unlock()
-	r.gLoad.Set(float64(load))
+	r.gInFlight.Set(float64(hz.InFlight))
 	r.gDispatched.Set(float64(r.dispatched.Load()))
 }
 
@@ -476,7 +466,6 @@ func (p *Pool) Views() []View {
 			Draining:    r.draining,
 			Quarantined: !r.healthy && now < r.quarantinedUntil,
 			Overloaded:  now < r.overloadedUntil,
-			Load:        r.load,
 			InFlight:    r.inflight,
 			MaxQueue:    r.maxQueue,
 			LastError:   r.lastErr,

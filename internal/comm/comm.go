@@ -10,9 +10,9 @@
 // in-parallel learning steps — are counted, not timed, and the
 // simulation counts them exactly), the SimFabric virtual-clock model
 // (sim.go), and the TCPFabric socket backend (tcp.go, coordinator.go)
-// for genuinely multi-process training. A concurrent goroutine-based
-// ring AllReduce is also provided (see ring.go) and tested to produce
-// the same averages as the sequential reference.
+// for genuinely multi-process training. Every backend reduces with the
+// same rank-ordered kernels, so results are bit-identical across them;
+// ring AllReduce appears only as byte accounting (CostModel.Ring).
 package comm
 
 import (
@@ -172,10 +172,6 @@ type Cluster struct {
 	cost  CostModel
 	meter *Meter
 	ranks []int
-	// Concurrent selects the goroutine ring implementation for vector
-	// AllReduce; the sequential reference is the default (it is faster at
-	// simulation scale on a single core and bit-identical in accounting).
-	Concurrent bool
 
 	// scratch is the sequential AllReduce's mean buffer, reused across
 	// calls so model synchronizations don't allocate. Collectives on one
@@ -250,17 +246,13 @@ func (c *Cluster) AllReduce(kind string, vecs [][]float64) CostReport {
 // a simulated collective traces once (with its virtual time attached).
 func (c *Cluster) allReduce(kind string, vecs [][]float64) CostReport {
 	n := c.checkArity("AllReduce", vecs)
-	if c.Concurrent {
-		ringAllReduce(vecs)
-	} else {
-		if cap(c.scratch) < n {
-			c.scratch = make([]float64, n)
-		}
-		mean := c.scratch[:n]
-		tensor.Mean(mean, vecs...)
-		for _, v := range vecs {
-			copy(v, mean)
-		}
+	if cap(c.scratch) < n {
+		c.scratch = make([]float64, n)
+	}
+	mean := c.scratch[:n]
+	tensor.Mean(mean, vecs...)
+	for _, v := range vecs {
+		copy(v, mean)
 	}
 	return c.charge(kind, n)
 }

@@ -122,52 +122,6 @@ func TestAllReduceValidation(t *testing.T) {
 	}
 }
 
-func TestRingAllReduceMatchesSequential(t *testing.T) {
-	for _, k := range []int{1, 2, 3, 5, 8} {
-		for _, n := range []int{1, 2, 7, 64, 129} {
-			ref := makeVecs(k, n, uint64(k*1000+n))
-			conc := make([][]float64, k)
-			for i := range ref {
-				conc[i] = tensor.Clone(ref[i])
-			}
-			mean := make([]float64, n)
-			tensor.Mean(mean, ref...)
-			ringAllReduce(conc)
-			for w := 0; w < k; w++ {
-				for i := 0; i < n; i++ {
-					if math.Abs(conc[w][i]-mean[i]) > 1e-9 {
-						t.Fatalf("K=%d n=%d worker %d idx %d: ring %v mean %v",
-							k, n, w, i, conc[w][i], mean[i])
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestConcurrentClusterMatchesSequential(t *testing.T) {
-	seq := NewCluster(5)
-	conc := NewCluster(5)
-	conc.Concurrent = true
-	a := makeVecs(5, 40, 7)
-	b := make([][]float64, 5)
-	for i := range a {
-		b[i] = tensor.Clone(a[i])
-	}
-	seq.AllReduce("model", a)
-	conc.AllReduce("model", b)
-	for w := range a {
-		for i := range a[w] {
-			if math.Abs(a[w][i]-b[w][i]) > 1e-9 {
-				t.Fatalf("worker %d idx %d: %v vs %v", w, i, a[w][i], b[w][i])
-			}
-		}
-	}
-	if seq.Meter().TotalBytes() != conc.Meter().TotalBytes() {
-		t.Fatal("cost accounting differs between implementations")
-	}
-}
-
 // Property: AllReduce leaves all workers with identical vectors whose
 // value equals the arithmetic mean of the inputs.
 func TestAllReduceProperty(t *testing.T) {

@@ -5,8 +5,8 @@ package comm
 // behave bit-identically on every implementation: a fabric moves vectors
 // and accounts costs, it never changes arithmetic. Three backends exist:
 //
-//   - Cluster: the in-process reference (sequential mean or goroutine
-//     ring), the default and the specification of the collective
+//   - Cluster: the in-process reference (the rank-ordered sequential
+//     mean), the default and the specification of the collective
 //     semantics;
 //   - SimFabric: the reference math plus a deterministic virtual clock
 //     driven by per-link bandwidth/latency profiles and straggler

@@ -123,7 +123,7 @@ func runWarm(cfg core.Config, strat core.Strategy, warm *cellWarm) core.Result {
 // first synchronization fires, so with Options.Warm each cell serves
 // its siblings trajectory-prefix snapshots and the sweep's wall clock
 // collapses toward one trajectory per variant plus divergent tails —
-// the series BENCH_PR6.json measures cold vs warm.
+// BenchmarkSweepThetaCold/_Warm measure cold vs warm.
 func ThetaSweep(o Options) []Record {
 	lw := newLazyWorkload("lenet5s", o.Seed)
 	// The grid extends past the paper's ThetaGrid into the late-sync

@@ -331,8 +331,8 @@ type HistogramValue struct {
 }
 
 // Snap is a point-in-time reading of a registry, ordered by metric
-// name — the JSON shape served under /v1/metrics and returned by
-// fda.Telemetry.
+// name — the "telemetry" section of /v1/metrics (MetricsDoc) and the
+// value fda.Telemetry returns.
 type Snap struct {
 	Counters   []CounterValue   `json:"counters,omitempty"`
 	Gauges     []GaugeValue     `json:"gauges,omitempty"`
@@ -365,19 +365,31 @@ func (r *Registry) Snapshot() Snap {
 func (s Snap) CounterSum(name string, labels ...string) int64 {
 	var total int64
 	for _, c := range s.Counters {
-		if c.Name != name {
-			continue
-		}
-		match := true
-		for i := 0; i+1 < len(labels); i += 2 {
-			if c.Labels[labels[i]] != labels[i+1] {
-				match = false
-				break
-			}
-		}
-		if match {
+		if c.Name == name && hasLabels(c.Labels, labels) {
 			total += c.Value
 		}
 	}
 	return total
+}
+
+// GaugeSum is CounterSum for gauges (e.g. jobs across every status, or
+// one status alone).
+func (s Snap) GaugeSum(name string, labels ...string) float64 {
+	var total float64
+	for _, g := range s.Gauges {
+		if g.Name == name && hasLabels(g.Labels, labels) {
+			total += g.Value
+		}
+	}
+	return total
+}
+
+// hasLabels reports whether m holds every alternating key/value pair.
+func hasLabels(m map[string]string, labels []string) bool {
+	for i := 0; i+1 < len(labels); i += 2 {
+		if m[labels[i]] != labels[i+1] {
+			return false
+		}
+	}
+	return true
 }

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
+	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -108,10 +110,12 @@ func TestSnapshotAndCounterSum(t *testing.T) {
 		r.Counter("syncs_total", "h", "strategy", "A").Add(3)
 		r.Counter("syncs_total", "h", "strategy", "B").Add(4)
 		r.Gauge("up", "h").Set(1)
+		r.Gauge("jobs", "h", "status", "done").Set(2)
+		r.Gauge("jobs", "h", "status", "failed").Set(3)
 		r.Histogram("d_seconds", "h", Seconds).Observe(5000)
 	})
 	s := r.Snapshot()
-	if len(s.Counters) != 2 || len(s.Gauges) != 1 || len(s.Histograms) != 1 {
+	if len(s.Counters) != 2 || len(s.Gauges) != 3 || len(s.Histograms) != 1 {
 		t.Fatalf("snapshot shape = %d/%d/%d", len(s.Counters), len(s.Gauges), len(s.Histograms))
 	}
 	if got := s.CounterSum("syncs_total"); got != 7 {
@@ -119,6 +123,12 @@ func TestSnapshotAndCounterSum(t *testing.T) {
 	}
 	if got := s.CounterSum("syncs_total", "strategy", "B"); got != 4 {
 		t.Fatalf("CounterSum(strategy=B) = %d, want 4", got)
+	}
+	if got := s.GaugeSum("jobs"); got != 5 {
+		t.Fatalf("GaugeSum = %g, want 5", got)
+	}
+	if got := s.GaugeSum("jobs", "status", "failed"); got != 3 {
+		t.Fatalf("GaugeSum(status=failed) = %g, want 3", got)
 	}
 	if s.Counters[0].Labels["strategy"] != "A" {
 		t.Fatalf("snapshot not label-sorted: %+v", s.Counters)
@@ -158,6 +168,67 @@ func TestWritePrometheus(t *testing.T) {
 	}
 	if err := ValidatePrometheusText(text); err != nil {
 		t.Fatalf("exposition does not parse: %v\n%s", err, text)
+	}
+	// The validator must reject as well as accept: the live-scrape checks
+	// (fdaload -check) depend on both directions.
+	if err := ValidatePrometheusText("not a metric line\n"); err == nil {
+		t.Fatal("garbage exposition accepted")
+	}
+}
+
+// TestValidatorRoundTrip: the validator accepts what a registry with
+// untouched series writes (zero counter, empty histogram) and rejects
+// malformed text — the fdaload -check scrape depends on both directions.
+func TestValidatorRoundTrip(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("smoke_total", "A counter.", "kind", "a").Add(0)
+	r.Histogram("smoke_seconds", "A histogram.", Seconds)
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if err := ValidatePrometheusText(sb.String()); err != nil {
+		t.Fatalf("own exposition rejected: %v\n%s", err, sb.String())
+	}
+	if err := ValidatePrometheusText("not a metric line\n"); err == nil {
+		t.Fatal("garbage accepted")
+	}
+}
+
+// TestServeHandlers pins the handler pair every binary mounts: GET
+// /metrics and GET /v1/metrics render the same registry series.
+func TestServeHandlers(t *testing.T) {
+	r := NewRegistry()
+	withEnabled(t, func() {
+		r.Counter("req_total", "h", "code", "200").Add(7)
+		r.Gauge("depth", "h").Set(2.5)
+	})
+	prom := httptest.NewRecorder()
+	r.ServePrometheus(prom, httptest.NewRequest("GET", "/metrics", nil))
+	if ct := prom.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
+		t.Fatalf("exposition content type %q", ct)
+	}
+	text := prom.Body.String()
+	for _, want := range []string{`req_total{code="200"} 7`, "depth 2.5", "go_sched_goroutines "} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("exposition missing %q:\n%s", want, text)
+		}
+	}
+	if err := ValidatePrometheusText(text); err != nil {
+		t.Fatal(err)
+	}
+
+	js := httptest.NewRecorder()
+	r.ServeJSON(js, httptest.NewRequest("GET", "/v1/metrics", nil))
+	var doc MetricsDoc
+	if err := json.Unmarshal(js.Body.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.Telemetry.CounterSum("req_total", "code", "200") != 7 || doc.Telemetry.GaugeSum("depth") != 2.5 {
+		t.Fatalf("JSON twin diverges from the exposition: %+v", doc.Telemetry)
+	}
+	if doc.Runtime["go_sched_goroutines"] < 1 {
+		t.Fatalf("runtime sample missing: %+v", doc.Runtime)
 	}
 }
 

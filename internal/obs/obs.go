@@ -10,7 +10,8 @@
 // (no map lookups, no allocation), and when telemetry is disabled —
 // the default — every entry point reduces to one atomic load and an
 // early return, so instrumented code pays no measurable cost
-// (asserted by alloc_test.go and the BENCH_PR7.json LocalStep series).
+// (asserted by alloc_test.go; priced by the LocalStepSession ObsOff/ObsOn
+// benchmark pair).
 package obs
 
 import (

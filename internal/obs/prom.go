@@ -150,23 +150,13 @@ func RuntimeSample() map[string]float64 {
 // Prometheus text format (appended after the registry's families on
 // GET /metrics).
 func WriteRuntimeMetrics(w io.Writer) error {
-	samples := make([]metrics.Sample, len(runtimeSamples))
-	for i := range samples {
-		samples[i].Name = runtimeSamples[i].src
-	}
-	metrics.Read(samples)
+	vals := RuntimeSample()
 	var b []byte
-	for i, s := range samples {
-		var v float64
-		switch s.Value.Kind() {
-		case metrics.KindUint64:
-			v = float64(s.Value.Uint64())
-		case metrics.KindFloat64:
-			v = s.Value.Float64()
-		default:
+	for _, rs := range runtimeSamples {
+		v, ok := vals[rs.name]
+		if !ok {
 			continue
 		}
-		rs := runtimeSamples[i]
 		b = fmt.Appendf(b, "# HELP %s runtime/metrics %s\n# TYPE %s %s\n%s %s\n",
 			rs.name, rs.src, rs.name, rs.kind, rs.name, strconv.FormatFloat(v, 'g', -1, 64))
 	}

@@ -5,13 +5,12 @@ import (
 	"runtime/debug"
 )
 
-// The report emitted by fdaload is a superset of the benchjson report
-// shape (cmd/benchjson): the goos/goarch/env/benchmarks keys match
-// field for field, so existing tooling that reads BENCH_*.json series
-// consumes a load report unchanged, and the load-specific sections
-// (spec, load, ramp) ride alongside.
+// The report emitted by fdaload carries goos/goarch/env metadata and one
+// go-test-benchmark-shaped entry per request kind (op, iterations,
+// ns/op, custom metrics) next to the load-specific sections (spec,
+// load, ramp).
 
-// Benchmark mirrors benchjson's per-result JSON object.
+// Benchmark is one per-kind result in the go test -bench style.
 type Benchmark struct {
 	Op          string             `json:"op"`
 	Iterations  int64              `json:"iterations"`
@@ -21,7 +20,8 @@ type Benchmark struct {
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
 
-// Env mirrors benchjson's environment block.
+// Env is the report's environment block: toolchain, cores and the VCS
+// revision the binary was built from.
 type Env struct {
 	GoVersion   string `json:"go_version"`
 	GOMAXPROCS  int    `json:"gomaxprocs"`
@@ -70,8 +70,8 @@ type Report struct {
 	Benchmarks    []Benchmark `json:"benchmarks"`
 }
 
-// EnvMeta samples the running process's environment, matching
-// benchjson's env block (also used by cluster.BuildCapacityReport).
+// EnvMeta samples the running process's environment for the report's
+// env block.
 func EnvMeta() Env {
 	e := Env{
 		GoVersion:  runtime.Version(),
@@ -92,7 +92,7 @@ func EnvMeta() Env {
 }
 
 // BuildReport assembles the output document: env metadata, the raw
-// stats, and one benchjson-shaped benchmark entry per request kind
+// stats, and one benchmark-shaped entry per request kind
 // (ns_per_op = mean latency; p50/p95/p99/rps/errors as custom
 // metrics) plus a Load/total rollup.
 func BuildReport(spec *Spec, stats RunStats, ramp []RampLevel) Report {
