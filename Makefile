@@ -19,14 +19,17 @@ lint:
 # fuzz gives each native fuzz target a short adversarial run on top of
 # its always-on seed corpus (the seeds run as plain tests under
 # `go test`). Targets: the checkpoint v2 container decoder, the
-# compress wire-frame decoders and the Prometheus exposition validator
-# — every parser that consumes bytes from disk or socket.
+# compress wire-frame decoders, the Prometheus exposition validator and
+# the gateway's submission-body router key and response id rewriter —
+# every parser that consumes bytes from disk or socket.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/checkpoint -fuzz FuzzUnmarshal -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/compress -fuzz FuzzWireDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/compress -fuzz FuzzWireRoundtrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs -fuzz FuzzValidatePrometheusText -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cluster -fuzz FuzzAffinityAddress -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cluster -fuzz FuzzRewriteID -fuzztime $(FUZZTIME)
 
 # The public surface of the fda package is pinned in docs/fda-api.txt
 # (a go doc -all dump). apicheck fails when a change alters it without

@@ -85,7 +85,6 @@ func main() {
 		fatal(err)
 	}
 	gw := cluster.NewGateway(pool, cluster.GatewayOptions{
-		Now:        now,
 		MaxPending: *maxPending,
 		Version:    buildinfo.String("fdagate"),
 	})

@@ -4,8 +4,7 @@
 // request schedule, executes it open-loop with bounded in-flight
 // concurrency, and emits a JSON report with per-kind latency
 // percentiles, throughput, error and rejection counts. It can also
-// replay a trace recorded by `fdaserve -record` and step the arrival
-// rate to locate the saturation knee.
+// replay a trace recorded by `fdaserve -record`.
 //
 //	# 10s of Poisson traffic at 50 req/s: 1 train per 4 status polls per 1 catalog read
 //	fdaload -addr http://localhost:8080 -rate 50 -duration 10s \
@@ -17,10 +16,6 @@
 //
 //	# replay a recorded trace bit-identically
 //	fdaload -addr http://localhost:8080 -replay trace.jsonl -out report.json
-//
-//	# step 10→160 req/s to find the saturation knee
-//	fdaload -addr http://localhost:8080 -ramp 10,20,40,80,160 -duration 5s \
-//	        -mix train=1,status=4 -model lenet5s -steps 20 -out ramp.json
 //
 // The schedule (arrival offsets, kinds, payload bytes) is a pure
 // function of spec+seed; -export writes it as a tracev1 file without
@@ -63,7 +58,7 @@ func main() {
 
 		arrival  = flag.String("arrival", "poisson", "arrival process: poisson, bursty, diurnal")
 		rate     = flag.Float64("rate", 20, "mean arrival rate, requests/second")
-		duration = flag.Duration("duration", 10*time.Second, "schedule duration (per ramp level in -ramp mode)")
+		duration = flag.Duration("duration", 10*time.Second, "schedule duration")
 		mixFlag  = flag.String("mix", "train=1,status=3,store=1", "job mix as kind=weight pairs (kinds: train, sweep, status, records, store, cancel)")
 		onSec    = flag.Float64("on", 1, "bursty: burst length, seconds")
 		offSec   = flag.Float64("off", 1, "bursty: silence length, seconds")
@@ -81,7 +76,6 @@ func main() {
 		scale     = flag.String("scale", "tiny", "sweep cohort: experiment scale")
 
 		inflight    = flag.Int("inflight", 4096, "max concurrent in-flight requests (open loop; stalls are counted, not hidden)")
-		rampFlag    = flag.String("ramp", "", "comma-separated offered rates; run -duration at each and locate the saturation knee")
 		out         = flag.String("out", "", "write the JSON report here (default: stdout)")
 		check       = flag.Bool("check", false, "exit non-zero unless the run completed work (ok > 0) with zero unexpected errors and every -addr target then serves a valid, non-empty GET /metrics")
 		maxRejected = flag.Float64("max-rejected", 1, "-check: maximum tolerated rejection rate (rejected/issued, 0..1); 1 allows any amount of shed load")
@@ -110,7 +104,7 @@ func main() {
 			fatal(err)
 		}
 		stats := run(reqs, *addr, *inflight, 0, stop)
-		rep = workload.BuildReport(nil, stats, nil)
+		rep = workload.BuildReport(nil, stats)
 		rep.Trace = src
 	default:
 		spec, err := buildSpec(specArgs{
@@ -129,41 +123,13 @@ func main() {
 			fmt.Printf("fdaload: wrote schedule %s\n", *export)
 			return
 		}
-		if *rampFlag != "" {
-			levels, err := parseRates(*rampFlag)
-			if err != nil {
-				fatal(err)
-			}
-			var ramp []workload.RampLevel
-			for i, r := range levels {
-				lv := rampLevelSpec(spec, i)
-				lv.Arrival.Rate = r
-				reqs, err := lv.Schedule()
-				if err != nil {
-					fatal(err)
-				}
-				fmt.Fprintf(os.Stderr, "fdaload: ramp level %d/%d: %g req/s for %gs (%d requests)\n",
-					i+1, len(levels), r, lv.DurationSec, len(reqs))
-				stats := run(reqs, *addr, *inflight, int64(lv.DurationSec*1e9), stop)
-				ramp = append(ramp, workload.NewRampLevel(r, stats))
-				if stoppedNow(stop) {
-					break
-				}
-			}
-			last := workload.RunStats{}
-			if len(ramp) > 0 {
-				last = ramp[len(ramp)-1].Stats
-			}
-			rep = workload.BuildReport(&spec, last, ramp)
-		} else {
-			reqs, err := spec.Schedule()
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "fdaload: %d requests over %gs against %s\n", len(reqs), spec.DurationSec, *addr)
-			stats := run(reqs, *addr, *inflight, int64(spec.DurationSec*1e9), stop)
-			rep = workload.BuildReport(&spec, stats, nil)
+		reqs, err := spec.Schedule()
+		if err != nil {
+			fatal(err)
 		}
+		fmt.Fprintf(os.Stderr, "fdaload: %d requests over %gs against %s\n", len(reqs), spec.DurationSec, *addr)
+		stats := run(reqs, *addr, *inflight, int64(spec.DurationSec*1e9), stop)
+		rep = workload.BuildReport(&spec, stats)
 	}
 
 	b, err := json.MarshalIndent(rep, "", "  ")
@@ -200,42 +166,6 @@ func run(reqs []workload.Request, addr string, inflight int, durationNS int64, s
 		Stop:        stop,
 		DurationNS:  durationNS,
 	})
-}
-
-// rampLevelSpec derives level i's spec: a fresh schedule seed AND fresh
-// cohort seed bases. The templates are deep-copied — they are shared
-// pointers inside Mix — and their seed bases shifted far apart per
-// level, so every level submits brand-new specs instead of re-hitting
-// the previous level's dedupe keys (which would measure cache lookups,
-// not admission throughput). Still a pure function of (spec, i):
-// ramp runs stay deterministic.
-func rampLevelSpec(spec workload.Spec, i int) workload.Spec {
-	lv := spec
-	lv.Seed = spec.Seed + uint64(i)
-	lv.Mix = make([]workload.MixEntry, len(spec.Mix))
-	for m, e := range spec.Mix {
-		if e.Train != nil {
-			t := *e.Train
-			t.SeedBase += uint64(i) << 32
-			e.Train = &t
-		}
-		if e.Sweep != nil {
-			sw := *e.Sweep
-			sw.SeedBase += uint64(i) << 32
-			e.Sweep = &sw
-		}
-		lv.Mix[m] = e
-	}
-	return lv
-}
-
-func stoppedNow(stop <-chan struct{}) bool {
-	select {
-	case <-stop:
-		return true
-	default:
-		return false
-	}
 }
 
 // specArgs carries the inline-flag spec configuration.
@@ -359,34 +289,17 @@ func exportSchedule(spec workload.Spec, path string) error {
 // graceful degradation — some shed load is expected at saturation, a
 // cluster rejecting most of its traffic is not "sustaining" anything.
 func checkReport(rep workload.Report, maxRejected float64) error {
-	errs := rep.Load.Errors
-	ok := rep.Load.OK
-	rejected, issued := rep.Load.Rejected, rep.Load.Issued
-	for _, l := range rep.Ramp {
-		errs += l.Stats.Errors
-		ok += l.Stats.OK
-		rejected += l.Stats.Rejected
-		issued += l.Stats.Issued
+	s := rep.Load
+	if s.Errors != 0 {
+		return fmt.Errorf("%d unexpected errors", s.Errors)
 	}
-	// The single-run report already folds its own totals; ramp levels
-	// are distinct runs and accumulate (Load repeats the last level, so
-	// subtract it once to avoid double counting).
-	if n := len(rep.Ramp); n > 0 {
-		errs -= rep.Ramp[n-1].Stats.Errors
-		ok -= rep.Ramp[n-1].Stats.OK
-		rejected -= rep.Ramp[n-1].Stats.Rejected
-		issued -= rep.Ramp[n-1].Stats.Issued
-	}
-	if errs != 0 {
-		return fmt.Errorf("%d unexpected errors", errs)
-	}
-	if ok == 0 {
+	if s.OK == 0 {
 		return fmt.Errorf("no request completed successfully (throughput is zero)")
 	}
-	if issued > 0 && maxRejected < 1 {
-		if rate := float64(rejected) / float64(issued); rate > maxRejected {
+	if s.Issued > 0 && maxRejected < 1 {
+		if rate := float64(s.Rejected) / float64(s.Issued); rate > maxRejected {
 			return fmt.Errorf("rejection rate %.3f exceeds -max-rejected %.3f (%d of %d requests shed)",
-				rate, maxRejected, rejected, issued)
+				rate, maxRejected, s.Rejected, s.Issued)
 		}
 	}
 	return nil
@@ -436,26 +349,6 @@ func summarize(w io.Writer, rep workload.Report) {
 		fmt.Fprintf(w, "fdaload:   %-8s %5d ok  p50 %8.2fms  p95 %8.2fms  p99 %8.2fms\n",
 			ks.Kind, ks.OK, ks.P50Ms, ks.P95Ms, ks.P99Ms)
 	}
-	if len(rep.Ramp) > 0 {
-		for _, l := range rep.Ramp {
-			fmt.Fprintf(w, "fdaload: ramp %7.1f req/s offered -> %7.1f achieved, p99(train) %.2fms, %d rejected (%.1f%%), %d errors\n",
-				l.OfferedRPS, l.Stats.AchievedRPS, kindP99(l.Stats, workload.KindTrain), l.Stats.Rejected, 100*l.RejectionRate, l.Stats.Errors)
-		}
-		if rep.SaturationRPS > 0 {
-			fmt.Fprintf(w, "fdaload: saturation knee at %.1f req/s offered\n", rep.SaturationRPS)
-		} else {
-			fmt.Fprintln(w, "fdaload: no level sustained its offered rate (knee below the first rung)")
-		}
-	}
-}
-
-func kindP99(s workload.RunStats, k workload.Kind) float64 {
-	for _, ks := range s.Kinds {
-		if ks.Kind == k {
-			return ks.P99Ms
-		}
-	}
-	return 0
 }
 
 // realClock is the wall-clock implementation of workload.Clock: a

@@ -20,7 +20,10 @@
 //	fdarun -worker -connect host:9000           # join as one worker process (rank and
 //	                                            # job spec come from the coordinator)
 //
-// Runs execute as a cancellable session: Ctrl-C stops between steps and
+// The flags form one dist.JobSpec, the same job definition fdaserve
+// accepts, and every mode runs from it: -coordinator ships it to the
+// workers, a local run builds its config and strategy from it. Runs
+// execute as a cancellable session: Ctrl-C stops between steps and
 // prints the partial summary.
 package main
 
@@ -109,9 +112,17 @@ func main() {
 		return
 	}
 
-	// Coordinator mode: no local training — serialize the job spec from
-	// the same flags, rendezvous -k worker processes, relay their
-	// collectives and report the verified cluster result.
+	// Both modes below run the same spec: the coordinator ships it to
+	// the workers, the local run builds its config and strategy from it.
+	spec := dist.JobSpec{
+		Model: *model, Strategy: *strategy, Theta: *theta, Tau: *tau,
+		K: *k, Batch: *batch, Steps: *steps, Target: *target,
+		Het: *het, Seed: *seed, TopK: *topk, QBits: *qbits,
+	}.WithDefaults()
+
+	// Coordinator mode: no local training — rendezvous -k worker
+	// processes, relay their collectives and report the verified
+	// cluster result.
 	if *coord != "" {
 		// Refuse rather than silently drop flags the job spec cannot
 		// carry to the workers.
@@ -121,12 +132,7 @@ func main() {
 		if *budget > 0 || *async {
 			fatal(errors.New("-budget and -async are not available in -coordinator mode"))
 		}
-		jspec := dist.JobSpec{
-			Model: *model, Strategy: *strategy, Theta: *theta, Tau: *tau,
-			K: *k, Batch: *batch, Steps: *steps, Target: *target,
-			Het: *het, Seed: *seed, TopK: *topk, QBits: *qbits,
-		}
-		co, err := comm.ListenCoordinator(*coord, *k)
+		co, err := comm.ListenCoordinator(*coord, spec.K)
 		if err != nil {
 			fatal(err)
 		}
@@ -134,8 +140,8 @@ func main() {
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 		defer stop()
 		fmt.Printf("coordinating %d workers on %s (start them with: fdarun -worker -connect <host>%s)\n",
-			*k, co.Addr(), *coord)
-		res, err := dist.Coordinate(ctx, co, jspec)
+			spec.K, co.Addr(), *coord)
+		res, err := dist.Coordinate(ctx, co, spec)
 		if err != nil {
 			fatal(err)
 		}
@@ -146,33 +152,11 @@ func main() {
 		return
 	}
 
-	spec, err := fda.ModelByName(*model)
+	cfg, err := spec.BuildConfig()
 	if err != nil {
 		fatal(err)
 	}
-	train, test := fda.DatasetForModel(spec, *seed)
-	th := *theta
-	if th == 0 {
-		th = spec.ThetaGrid[1]
-	}
-
-	cfg := fda.Config{
-		K: *k, BatchSize: *batch, Seed: *seed,
-		Model: spec.Build, Optimizer: spec.Optimizer,
-		Train: train, Test: test,
-		Het:            parseHet(*het),
-		MaxSteps:       *steps,
-		TargetAccuracy: *target,
-		Parallelism:    *jobs,
-	}
-	switch {
-	case *topk > 0 && *qbits > 0:
-		cfg.SyncCodec = fda.Chain{Stages: []fda.Codec{fda.TopK{Fraction: *topk}, fda.Quantize{Bits: *qbits}}}
-	case *topk > 0:
-		cfg.SyncCodec = fda.TopK{Fraction: *topk}
-	case *qbits > 0:
-		cfg.SyncCodec = fda.Quantize{Bits: *qbits}
-	}
+	cfg.Parallelism = *jobs
 	if *scenario != "" {
 		scen, err := fda.ScenarioByName(*scenario)
 		if err != nil {
@@ -196,7 +180,7 @@ func main() {
 			// would report times the scenario did not produce.
 			fatal(errors.New("-scenario does not apply to -async (use -speeds for async heterogeneity)"))
 		}
-		ac := fda.AsyncConfig{Config: cfg, Theta: th, UseSketch: *strategy == "SketchFDA"}
+		ac := fda.AsyncConfig{Config: cfg, Theta: spec.Theta, UseSketch: spec.Strategy == "SketchFDA"}
 		if *speeds != "" {
 			for _, part := range strings.Split(*speeds, ",") {
 				v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
@@ -218,12 +202,12 @@ func main() {
 		return
 	}
 
-	strat, err := dist.StrategyFor(*strategy, th, *tau, cfg)
+	strat, err := spec.BuildStrategy(cfg)
 	if err != nil {
 		fatal(err)
 	}
 	if *budget > 0 {
-		switch *strategy {
+		switch spec.Strategy {
 		case "LinearFDA", "SketchFDA":
 			strat = fda.NewAdaptiveTheta(strat, *budget)
 		default:
@@ -251,24 +235,24 @@ func main() {
 		// knobs (codecs, -jobs) are deliberately absent: that is the
 		// sharing the prefix family machinery makes safe.
 		var targets []float64
-		if *target > 0 {
-			targets = []float64{*target}
+		if spec.Target > 0 {
+			targets = []float64{spec.Target}
 		}
-		spec := runstore.Spec{
+		rs := runstore.Spec{
 			Experiment: "fdarun",
-			Seed:       *seed,
-			Model:      *model,
-			Strategy:   *strategy,
-			Theta:      th,
-			K:          *k,
-			Het:        *het,
+			Seed:       spec.Seed,
+			Model:      spec.Model,
+			Strategy:   spec.Strategy,
+			Theta:      spec.Theta,
+			K:          spec.K,
+			Het:        spec.Het,
 			Targets:    targets,
 			Extra: map[string]string{
-				"batch": strconv.Itoa(*batch),
-				"steps": strconv.Itoa(*steps),
+				"batch": strconv.Itoa(spec.Batch),
+				"steps": strconv.Itoa(spec.Steps),
 			},
 		}
-		if err := warmStart(sess, strat, cfg, *storeDir, spec); err != nil {
+		if err := warmStart(sess, strat, cfg, *storeDir, rs); err != nil {
 			fatal(err)
 		}
 	}
@@ -317,16 +301,6 @@ func progressSink(enabled bool) fda.EventSink {
 			fmt.Fprintf(os.Stderr, "[done] %s\n", ev.Result.String())
 		}
 	}
-}
-
-// parseHet converts the -het flag through the shared grammar
-// (data.ParseHeterogeneity), fataling on a bad selector.
-func parseHet(s string) fda.Heterogeneity {
-	h, err := dist.ParseHet(s)
-	if err != nil {
-		fatal(err)
-	}
-	return h
 }
 
 func fatal(err error) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -83,7 +84,7 @@ func TestGatewayEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw := cluster.NewGateway(pool, cluster.GatewayOptions{Now: now})
+	gw := cluster.NewGateway(pool, cluster.GatewayOptions{})
 	gwts := httptest.NewServer(gw.Handler())
 	t.Cleanup(gwts.Close)
 
@@ -173,5 +174,30 @@ func TestGatewayEndToEnd(t *testing.T) {
 	postJSON(t, gwts.URL+"/v1/runs", bodyC, http.StatusAccepted, &rejoined)
 	if done := awaitDone(t, gwts.URL, rejoined.ID); done.Status != statusDone {
 		t.Fatalf("post-rejoin job finished %q (err %q), want done", done.Status, done.Error)
+	}
+}
+
+// TestOversizedSubmission413: a valid /v1/train body padded with
+// whitespace to 2 MiB is past the submission bound, so both a replica
+// and the gateway answer 413 and no job is created — neither server
+// trains on the truncated prefix of a body it did not read to the end.
+func TestOversizedSubmission413(t *testing.T) {
+	r := newKillableReplica(t, t.TempDir())
+	now := func() int64 { return 0 }
+	pool, err := cluster.NewPool([]string{r.ts.URL}, cluster.Options{Now: now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw := httptest.NewServer(cluster.NewGateway(pool, cluster.GatewayOptions{}).Handler())
+	t.Cleanup(gw.Close)
+
+	body := `{"model":"lenet5s","strategy":"LinearFDA","k":2,"steps":10}` + strings.Repeat(" ", 2<<20)
+	for _, base := range []string{r.ts.URL, gw.URL} {
+		postJSON(t, base+"/v1/train", body, http.StatusRequestEntityTooLarge, nil)
+	}
+	var views []jobView
+	getJSON(t, r.ts.URL+"/v1/runs", http.StatusOK, &views)
+	if len(views) != 0 {
+		t.Fatalf("oversized submissions created %d jobs", len(views))
 	}
 }

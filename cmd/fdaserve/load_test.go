@@ -357,23 +357,20 @@ func TestLoadE2EThousandConcurrentJobs(t *testing.T) {
 	t.Logf("peak concurrent jobs: %d; achieved %.0f rps", peak, stats.AchievedRPS)
 
 	// The report must carry per-kind percentiles for every scheduled kind.
-	report := workload.BuildReport(&spec, stats, nil)
-	wantOps := map[string]bool{"Load/train": false, "Load/store": false, "Load/status": false, "Load/total": false}
-	for _, b := range report.Benchmarks {
-		if _, ok := wantOps[b.Op]; ok {
-			wantOps[b.Op] = true
-		}
-		if b.Op == "Load/train" {
-			for _, m := range []string{"p50_ms", "p95_ms", "p99_ms"} {
-				if _, ok := b.Metrics[m]; !ok {
-					t.Fatalf("Load/train benchmark missing %s metric: %+v", m, b.Metrics)
-				}
+	report := workload.BuildReport(&spec, stats)
+	for _, want := range []workload.Kind{workload.KindTrain, workload.KindStore, workload.KindStatus} {
+		found := false
+		for _, ks := range report.Load.Kinds {
+			if ks.Kind != want {
+				continue
+			}
+			found = true
+			if ks.Issued == 0 || ks.P50Ms > ks.P95Ms || ks.P95Ms > ks.P99Ms || ks.P99Ms <= 0 {
+				t.Fatalf("%s series lacks ordered percentiles: %+v", want, ks)
 			}
 		}
-	}
-	for op, seen := range wantOps {
-		if !seen {
-			t.Fatalf("report missing %s series: %+v", op, report.Benchmarks)
+		if !found {
+			t.Fatalf("report missing %s series: %+v", want, report.Load.Kinds)
 		}
 	}
 }

@@ -9,6 +9,11 @@
 //
 //	fdaserve -store runs.d -addr :8080
 //
+// A POST /v1/train body is a dist.JobSpec — the type fdarun, fdagate
+// and the distributed workers build runs from — minus sync compression
+// (a nonzero topk or qbits is a 400). Submission bodies past 1 MiB are
+// answered 413.
+//
 // With -fabric, the server also coordinates genuinely multi-process
 // training: POST /v1/train with "distributed": true listens for K
 // `fdarun -worker -connect` processes on the fabric address (published

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strings"
 
+	"repro/internal/cluster"
 	"repro/internal/workload"
 )
 
@@ -67,11 +68,16 @@ func (s *server) record(next http.Handler) http.Handler {
 		if kind, ok := recordKind(r.Method, r.URL.Path); ok && s.recorder != nil {
 			var body json.RawMessage
 			if r.Method == http.MethodPost && r.Body != nil {
-				b, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-				r.Body.Close()
-				r.Body = io.NopCloser(bytes.NewReader(b))
-				if err == nil && json.Valid(b) {
-					body = b
+				limited := http.MaxBytesReader(w, r.Body, cluster.MaxBodyBytes)
+				if b, err := io.ReadAll(limited); err != nil {
+					// The bounded reader keeps failing: the handler
+					// answers for the body (413 past the bound).
+					r.Body = limited
+				} else {
+					r.Body = io.NopCloser(bytes.NewReader(b))
+					if json.Valid(b) {
+						body = b
+					}
 				}
 			}
 			s.recorder.Record(kind, r.URL.Path, body)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -296,7 +297,7 @@ func simulatedBytes(result any) int64 {
 //	GET    /v1/store                cached-run manifests
 //	GET    /v1/runs                 submitted jobs
 //	POST   /v1/runs                 submit a sweep {"experiment","scale","seed"}
-//	POST   /v1/train                submit a training session (see trainRequest)
+//	POST   /v1/train                submit a training session (a dist.JobSpec)
 //	GET    /v1/runs/{id}            poll one job
 //	DELETE /v1/runs/{id}            cancel one job (it becomes resumable)
 //	GET    /v1/runs/{id}/events     live progress as Server-Sent Events
@@ -304,8 +305,9 @@ func simulatedBytes(result any) int64 {
 //	GET    /v1/runs/{id}/output     fetch the rendered tables/plots
 //
 // With -pprof, net/http/pprof is additionally mounted under
-// /debug/pprof/. Every route runs behind the instrument middleware
-// (obs.go): per-route latency histograms, status counters, access log.
+// /debug/pprof/. Every route runs behind cluster.Instrument, the
+// middleware fdagate shares: per-route latency histograms, status
+// counters, access log.
 func (s *server) routes() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /metrics", s.sampled(obs.Default.ServePrometheus))
@@ -333,7 +335,7 @@ func (s *server) routes() http.Handler {
 	mux.HandleFunc("GET /v1/runs/{id}/events", s.handleEvents)
 	mux.HandleFunc("GET /v1/runs/{id}/records", s.handleRecords)
 	mux.HandleFunc("GET /v1/runs/{id}/output", s.handleOutput)
-	return s.instrument(s.record(mux))
+	return cluster.Instrument("fdaserve", s.accessLog, s.record(mux))
 }
 
 // handleHealthz implements GET /v1/healthz: liveness plus the replica's
@@ -388,17 +390,33 @@ func (s *server) handleListRuns(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, views)
 }
 
-// submitRequest is the POST /v1/runs body. Like trainRequest, the spec
-// fields and canonical key live in cluster.SweepSpec so fdagate's
-// affinity routing and this server's dedupe cannot drift apart.
-type submitRequest struct {
-	cluster.SweepSpec
+// decodeBody decodes a submission body into v. It answers 413 for a
+// body past cluster.MaxBodyBytes — the rest of the body is read too, so
+// trailing padding counts — and 400 for malformed JSON, and reports
+// whether the handler should go on.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	body := http.MaxBytesReader(w, r.Body, cluster.MaxBodyBytes)
+	err := json.NewDecoder(body).Decode(v)
+	if err == nil {
+		_, err = io.Copy(io.Discard, body)
+	}
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", cluster.MaxBodyBytes))
+	case err != nil:
+		writeError(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
+	default:
+		return true
+	}
+	return false
 }
 
+// handleSubmit implements POST /v1/runs. The body is a
+// cluster.SweepSpec, the type fdagate's affinity router decodes too.
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req submitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
+	var req cluster.SweepSpec
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	req.ApplyDefaults()
@@ -429,8 +447,7 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, j.view())
 		return
 	}
-	s.wg.Add(1)
-	go s.executeSweep(j, scale, ctx)
+	s.start(j, func() (any, error) { return s.sweep(ctx, j, scale) })
 	writeJSON(w, http.StatusAccepted, j.view())
 }
 
@@ -555,21 +572,41 @@ func (s *server) createJob(key string, init func(*job)) (*job, context.Context, 
 	return j, ctx, false, nil
 }
 
-// executeSweep runs a figure sweep under ctx; the store-aware scheduler
-// inside the runner serves every already-cached cell from disk, and
-// cancellation (DELETE or shutdown) stops it between cells, so the
-// persisted cells fund the next submission of the same spec.
-func (s *server) executeSweep(j *job, scale experiments.Scale, ctx context.Context) {
-	s.markStarted(j)
-	defer s.wg.Done()
-	defer j.events.close()
-	defer close(j.done)
-	defer func() {
-		if r := recover(); r != nil {
-			s.setStatus(j, statusFailed, fmt.Sprintf("panic: %v", r), nil)
+// start runs an admitted job's body on its own goroutine and records
+// how it ended: done with the body's result, cancelled when the body
+// returns a context error (DELETE or shutdown), failed on any other
+// error or a panic. The job's event stream and done channel close
+// after the terminal status is set.
+func (s *server) start(j *job, body func() (any, error)) {
+	s.wg.Add(1)
+	go func() {
+		s.markStarted(j)
+		defer s.wg.Done()
+		defer j.events.close()
+		defer close(j.done)
+		defer func() {
+			if r := recover(); r != nil {
+				s.setStatus(j, statusFailed, fmt.Sprintf("panic: %v", r), nil)
+			}
+		}()
+		res, err := body()
+		switch {
+		case err == nil:
+			s.setStatus(j, statusDone, "", res)
+		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+			s.setStatus(j, statusCancelled, err.Error(), nil)
+		default:
+			s.setStatus(j, statusFailed, err.Error(), nil)
 		}
 	}()
-	res, err := experiments.Run(j.Experiment, experiments.Options{
+}
+
+// sweep runs a figure sweep under ctx; the store-aware scheduler inside
+// the runner serves every already-cached cell from disk, and
+// cancellation stops it between cells, so the persisted cells fund the
+// next submission of the same spec.
+func (s *server) sweep(ctx context.Context, j *job, scale experiments.Scale) (any, error) {
+	return experiments.Run(j.Experiment, experiments.Options{
 		Scale: scale,
 		Seed:  j.Seed,
 		Out:   j.out,
@@ -589,14 +626,6 @@ func (s *server) executeSweep(j *job, scale experiments.Scale, ctx context.Conte
 			})
 		},
 	})
-	switch {
-	case err == nil:
-		s.setStatus(j, statusDone, "", res)
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		s.setStatus(j, statusCancelled, err.Error(), nil)
-	default:
-		s.setStatus(j, statusFailed, err.Error(), nil)
-	}
 }
 
 func (s *server) job(r *http.Request) (*job, bool) {

@@ -119,6 +119,20 @@ func TestTrainValidationErrors(t *testing.T) {
 	}
 }
 
+// TestTrainRejectsCompression: the HTTP API offers no sync compression
+// (the dedupe key does not cover it), so a nonzero topk or qbits is a
+// 400, not a silently ignored field.
+func TestTrainRejectsCompression(t *testing.T) {
+	ts := testServer(t, t.TempDir())
+	postJSON(t, ts.URL+"/v1/train", `{"model":"lenet5s","strategy":"LinearFDA","topk":0.25}`, http.StatusBadRequest, nil)
+	postJSON(t, ts.URL+"/v1/train", `{"model":"lenet5s","strategy":"LinearFDA","qbits":8}`, http.StatusBadRequest, nil)
+	var views []jobView
+	getJSON(t, ts.URL+"/v1/runs", http.StatusOK, &views)
+	if len(views) != 0 {
+		t.Fatalf("rejected submissions created %d jobs", len(views))
+	}
+}
+
 // TestTrainSSEStreamsLiveEvents: the events endpoint streams a live
 // run's typed events and ends with a terminal status after completion.
 func TestTrainSSEStreamsLiveEvents(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -14,12 +13,9 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
-	"repro/internal/cluster"
 	"repro/internal/comm"
 	"repro/internal/core"
-	"repro/internal/data"
 	"repro/internal/dist"
-	"repro/internal/models"
 )
 
 // This file implements single-run training sessions as first-class
@@ -30,43 +26,6 @@ import (
 // bit-identically to a run that was never interrupted (the session
 // resume contract, pinned by TestTrainCancelResumeExact).
 
-// trainRequest is the POST /v1/train body. The spec fields, their
-// defaults and the canonical dedupe key all live in cluster.TrainSpec,
-// so the fdagate affinity router and this server's dedupe compute the
-// same key from one definition — a divergence would break cache-hit
-// routing, and sharing the type makes it a compile error instead.
-type trainRequest struct {
-	cluster.TrainSpec
-}
-
-func (t *trainRequest) withDefaults() { t.ApplyDefaults() }
-
-// canonicalKey identifies the training spec for dedupe and for the
-// resume checkpoint's content address.
-func (t trainRequest) canonicalKey() string { return t.Key() }
-
-// jobSpec converts the request into the distributed job payload.
-func (t trainRequest) jobSpec() dist.JobSpec {
-	return dist.JobSpec{
-		Model: t.Model, Strategy: t.Strategy, Theta: t.Theta, Tau: t.Tau,
-		K: t.K, Batch: t.Batch, Steps: t.Steps, EvalEvery: t.EvalEvery,
-		Target: t.Target, Het: t.Het, Seed: t.Seed,
-	}
-}
-
-// trainStrategyFor builds the requested strategy through the shared
-// name index; FedOpt variants bind their round length to cfg exactly as
-// fdarun does.
-func trainStrategyFor(req trainRequest, cfg core.Config) (core.Strategy, error) {
-	return dist.StrategyFor(req.Strategy, req.Theta, req.Tau, cfg)
-}
-
-// trainHet parses the heterogeneity selector through the shared grammar
-// (iid, label<Y>, pct<X>, dir<alpha>).
-func trainHet(s string) (data.Heterogeneity, error) {
-	return data.ParseHeterogeneity(s)
-}
-
 // checkpointPath addresses the resume checkpoint of a train spec inside
 // the store directory.
 func (s *server) checkpointPath(key string) string {
@@ -74,48 +33,23 @@ func (s *server) checkpointPath(key string) string {
 	return filepath.Join(s.store.Dir(), "sessions", hex.EncodeToString(sum[:8])+".ckpt")
 }
 
+// handleTrain implements POST /v1/train: the body is a dist.JobSpec,
+// validated at the door without synthesizing its datasets (that costs
+// hundreds of milliseconds, so it happens on the job goroutine) and
+// registered under its dedupe key.
 func (s *server) handleTrain(w http.ResponseWriter, r *http.Request) {
-	var req trainRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
+	var spec dist.JobSpec
+	if !decodeBody(w, r, &spec) {
 		return
 	}
-	if req.Model == "" || req.Strategy == "" {
-		writeError(w, http.StatusBadRequest, "model and strategy are required")
+	spec = spec.WithDefaults()
+	if spec.TopK != 0 || spec.QBits != 0 {
+		// The dedupe key does not cover sync compression, and the HTTP
+		// API does not offer it.
+		writeError(w, http.StatusBadRequest, "topk and qbits are not accepted by /v1/train")
 		return
 	}
-	spec, err := models.ByName(req.Model)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	req.withDefaults()
-	het, err := trainHet(req.Het)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-
-	// The datasets are NOT synthesized here. Generating and normalizing
-	// a spec's workload costs hundreds of milliseconds — paying it on
-	// the admission path made POST /v1/train latency scale with dataset
-	// size instead of queue depth (and for distributed jobs the result
-	// was discarded entirely: the workers synthesize their own shards).
-	// Admission validates everything it can without the data and defers
-	// materialization to the job goroutine; core.NewSession re-validates
-	// the completed config before any training step runs.
-	cfg := core.Config{
-		K: req.K, BatchSize: req.Batch, Seed: req.Seed,
-		Model: spec.Build, Optimizer: spec.Optimizer,
-		Het:            het,
-		MaxSteps:       req.Steps,
-		EvalEvery:      req.EvalEvery,
-		TargetAccuracy: req.Target,
-		Parallelism:    s.jobs,
-	}
-	// Reject bad configs at the door with the structured field errors,
-	// instead of surfacing them later as a failed job.
-	if err := validateAdmission(cfg); err != nil {
+	if err := spec.Validate(); err != nil {
 		var cerr *core.ConfigError
 		if errors.As(err, &cerr) {
 			fields := make([]map[string]string, 0, len(cerr.Fields))
@@ -128,25 +62,15 @@ func (s *server) handleTrain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	// Vet the strategy name now (unknown strategies stay a 400, not a
-	// failed job). The probe uses an empty placeholder dataset; the real
-	// strategy is rebuilt in the goroutine because the FedOpt variants
-	// derive their round length from Train.Len().
-	probe := cfg
-	probe.Train = &data.Dataset{}
-	if _, err := trainStrategyFor(req, probe); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if req.Distributed && s.fabricAddr == "" {
+	if spec.Distributed && s.fabricAddr == "" {
 		writeError(w, http.StatusBadRequest, "distributed training requires the server to be started with -fabric")
 		return
 	}
 
-	j, ctx, existing, err := s.createJob(req.canonicalKey(), func(j *job) {
+	j, ctx, existing, err := s.createJob(spec.Key(), func(j *job) {
 		j.Kind = "train"
-		j.Experiment = req.Model + "/" + req.Strategy
-		j.Seed = req.Seed
+		j.Experiment = spec.Model + "/" + spec.Strategy
+		j.Seed = spec.Seed
 	})
 	if err != nil {
 		s.writeUnavailable(w, err)
@@ -156,111 +80,66 @@ func (s *server) handleTrain(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, j.view())
 		return
 	}
-	s.wg.Add(1)
-	if req.Distributed {
-		go s.executeTrainDistributed(j, req, ctx)
-	} else {
-		go s.executeTrain(j, spec, req, cfg, ctx)
+	run := s.train
+	if spec.Distributed {
+		run = s.trainDistributed
 	}
+	s.start(j, func() (any, error) { return run(ctx, j, spec) })
 	writeJSON(w, http.StatusAccepted, j.view())
 }
 
-// validateAdmission runs cfg.Validate but tolerates the Train/Test
-// emptiness errors: handleTrain admits before materializing the
-// datasets (see the comment there), and DatasetFor never yields an
-// empty set for a zoo spec, so those two fields cannot actually be
-// invalid. Every other field error is still rejected at the door.
-func validateAdmission(cfg core.Config) error {
-	err := cfg.Validate()
-	if err == nil {
-		return nil
-	}
-	var cerr *core.ConfigError
-	if !errors.As(err, &cerr) {
-		return err
-	}
-	fields := cerr.Fields[:0:0]
-	for _, f := range cerr.Fields {
-		if f.Field == "Train" || f.Field == "Test" {
-			continue
-		}
-		fields = append(fields, f)
-	}
-	if len(fields) == 0 {
-		return nil
-	}
-	return &core.ConfigError{Fields: fields}
-}
-
-// executeTrainDistributed coordinates one multi-process training run:
-// the job listens on the server's fabric address, waits for the K
-// worker processes, relays their collectives and records the verified
-// cluster Result. Cancellation (DELETE or shutdown) closes the
-// coordinator, which unblocks the workers with transport errors.
-func (s *server) executeTrainDistributed(j *job, req trainRequest, ctx context.Context) {
-	s.markStarted(j)
-	defer s.wg.Done()
-	defer j.events.close()
-	defer close(j.done)
-	defer func() {
-		if r := recover(); r != nil {
-			s.setStatus(j, statusFailed, fmt.Sprintf("panic: %v", r), nil)
-		}
-	}()
-
-	coord, err := comm.ListenCoordinator(s.fabricAddr, req.K)
+// trainDistributed coordinates one multi-process training run: the job
+// listens on the server's fabric address, waits for the K worker
+// processes, relays their collectives and returns the verified cluster
+// Result. Cancellation (DELETE or shutdown) closes the coordinator,
+// which unblocks the workers with transport errors.
+func (s *server) trainDistributed(ctx context.Context, j *job, spec dist.JobSpec) (any, error) {
+	coord, err := comm.ListenCoordinator(s.fabricAddr, spec.K)
 	if err != nil {
-		s.setStatus(j, statusFailed, err.Error(), nil)
-		return
+		return nil, err
 	}
 	defer coord.Close()
 	j.mu.Lock()
 	j.fabricAddr = coord.Addr()
 	j.mu.Unlock()
-	j.events.publish("fabric", map[string]any{"addr": coord.Addr(), "workers": req.K})
+	j.events.publish("fabric", map[string]any{"addr": coord.Addr(), "workers": spec.K})
 
-	res, err := dist.Coordinate(ctx, coord, req.jobSpec())
-	switch {
-	case err == nil:
-		j.steps.Store(int64(res.Steps))
-		j.syncs.Store(int64(res.SyncCount))
-		s.setStatus(j, statusDone, "", res)
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		s.setStatus(j, statusCancelled, err.Error(), nil)
-	default:
-		s.setStatus(j, statusFailed, err.Error(), nil)
+	res, err := dist.Coordinate(ctx, coord, spec)
+	if err != nil {
+		return nil, err
 	}
+	j.steps.Store(int64(res.Steps))
+	j.syncs.Store(int64(res.SyncCount))
+	return res, nil
 }
 
-// executeTrain drives one core.Session under the job's context,
-// restoring a prior interrupted submission's checkpoint when one exists
-// and writing one when this run is cancelled. Dataset synthesis and the
-// final strategy construction happen here, off the admission path — the
-// handler already vetted everything that can 400.
-func (s *server) executeTrain(j *job, spec models.Spec, req trainRequest, cfg core.Config, ctx context.Context) {
-	s.markStarted(j)
+// train drives one core.Session under ctx, restoring a prior
+// interrupted submission's checkpoint when one exists and writing one
+// when this run is cancelled. A run that fails or panics leaves no
+// checkpoint: re-running the same deterministic spec re-fails, so the
+// sessions directory only ever holds resumable state.
+func (s *server) train(ctx context.Context, j *job, spec dist.JobSpec) (any, error) {
 	ckpt := s.checkpointPath(j.key)
-	defer s.wg.Done()
-	defer j.events.close()
-	defer close(j.done)
 	defer func() {
 		if r := recover(); r != nil {
 			os.Remove(ckpt)
-			s.setStatus(j, statusFailed, fmt.Sprintf("panic: %v", r), nil)
+			panic(r)
 		}
 	}()
 
-	cfg.Train, cfg.Test = models.DatasetFor(spec, req.Seed)
-	strat, err := trainStrategyFor(req, cfg)
+	cfg, err := spec.BuildConfig()
 	if err != nil {
-		s.setStatus(j, statusFailed, err.Error(), nil)
-		return
+		return nil, err
+	}
+	cfg.Parallelism = s.jobs
+	strat, err := spec.BuildStrategy(cfg)
+	if err != nil {
+		return nil, err
 	}
 	sess, err := core.NewSession(ctx, cfg, strat)
 	if err != nil {
 		os.Remove(ckpt)
-		s.setStatus(j, statusFailed, err.Error(), nil)
-		return
+		return nil, err
 	}
 	if snap, err := checkpoint.Load(ckpt); err == nil {
 		if err := sess.Restore(snap); err != nil {
@@ -293,7 +172,7 @@ func (s *server) executeTrain(j *job, spec models.Spec, req trainRequest, cfg co
 	switch {
 	case err == nil:
 		os.Remove(ckpt) // the run is complete; nothing left to resume
-		s.setStatus(j, statusDone, "", res)
+		return res, nil
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		if snap, serr := sess.Snapshot(); serr == nil {
 			if werr := saveCheckpoint(ckpt, snap); werr != nil {
@@ -302,15 +181,10 @@ func (s *server) executeTrain(j *job, spec models.Spec, req trainRequest, cfg co
 		} else {
 			fmt.Fprintf(os.Stderr, "fdaserve: snapshotting cancelled session: %v\n", serr)
 		}
-		s.setStatus(j, statusCancelled, err.Error(), nil)
 	default:
-		// A failed run leaves nothing to resume (re-running the same
-		// deterministic spec re-fails), so its checkpoint — left by an
-		// earlier cancellation of this spec — would be an orphan. Drop it:
-		// the sessions directory only ever holds resumable state.
 		os.Remove(ckpt)
-		s.setStatus(j, statusFailed, err.Error(), nil)
 	}
+	return nil, err
 }
 
 // sweepSessionCheckpoints removes session resume checkpoints older than

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -30,18 +31,16 @@ type Gateway struct {
 	// timeout (the SSE proxy streams indefinitely) — per-attempt
 	// deadlines come from the incoming request context.
 	client  *http.Client
-	now     Clock
 	version string
 	// pending is the bounded admission gate for proxied submissions.
 	pending chan struct{}
 
-	mSubmit    *obs.Counter // routed via the affinity owner
-	mFallback  *obs.Counter // routed via the least-loaded fallback
-	mRetries   *obs.Counter
-	mRejGate   *obs.Counter // rejected at the gateway admission gate
-	mRejDown   *obs.Counter // rejected: no available replica
-	mRejUp     *obs.Counter // rejected: every candidate answered 503
-	httpRoutes sync.Map     // route pattern -> *gwTele
+	mSubmit   *obs.Counter // routed via the affinity owner
+	mFallback *obs.Counter // routed via the least-loaded fallback
+	mRetries  *obs.Counter
+	mRejGate  *obs.Counter // rejected at the gateway admission gate
+	mRejDown  *obs.Counter // rejected: no available replica
+	mRejUp    *obs.Counter // rejected: every candidate answered 503
 }
 
 // GatewayOptions configures a Gateway.
@@ -50,8 +49,6 @@ type GatewayOptions struct {
 	// timeout (SSE streams through it); defaults to a fresh
 	// http.Client with a large connection pool.
 	Client *http.Client
-	// Now is the monotonic clock; defaults to the pool's.
-	Now Clock
 	// MaxPending bounds concurrently proxied submissions; beyond it new
 	// submissions are answered 503 immediately. Default 1024.
 	MaxPending int
@@ -67,9 +64,6 @@ func NewGateway(pool *Pool, opt GatewayOptions) *Gateway {
 			MaxIdleConnsPerHost: 1 << 12,
 		}}
 	}
-	if opt.Now == nil {
-		opt.Now = pool.now
-	}
 	if opt.MaxPending <= 0 {
 		opt.MaxPending = 1024
 	}
@@ -79,7 +73,6 @@ func NewGateway(pool *Pool, opt GatewayOptions) *Gateway {
 	return &Gateway{
 		pool:    pool,
 		client:  opt.Client,
-		now:     opt.Now,
 		version: opt.Version,
 		pending: make(chan struct{}, opt.MaxPending),
 		mSubmit: obs.Default.Counter("fdagate_submissions_total",
@@ -124,79 +117,7 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/runs/{id}/events", g.handleByID)
 	mux.HandleFunc("GET /v1/runs/{id}/records", g.handleByID)
 	mux.HandleFunc("GET /v1/runs/{id}/output", g.handleByID)
-	return g.instrument(mux)
-}
-
-// gwTele caches one route's metric handles (same idiom as fdaserve's
-// middleware).
-type gwTele struct {
-	seconds *obs.Histogram
-	byCode  sync.Map // status code (int) -> *obs.Counter
-}
-
-func (g *Gateway) teleFor(route string) *gwTele {
-	if t, ok := g.httpRoutes.Load(route); ok {
-		return t.(*gwTele)
-	}
-	t := &gwTele{seconds: obs.Default.Histogram("fdagate_http_request_seconds",
-		"Gateway request latency by route pattern.", obs.Seconds, "route", route)}
-	actual, _ := g.httpRoutes.LoadOrStore(route, t)
-	return actual.(*gwTele)
-}
-
-func (t *gwTele) counter(route string, code int) *obs.Counter {
-	if c, ok := t.byCode.Load(code); ok {
-		return c.(*obs.Counter)
-	}
-	c := obs.Default.Counter("fdagate_http_requests_total",
-		"Gateway requests by route pattern and status code.", "route", route, "code", strconv.Itoa(code))
-	actual, _ := t.byCode.LoadOrStore(code, c)
-	return actual.(*obs.Counter)
-}
-
-type gwStatusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *gwStatusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *gwStatusWriter) Write(p []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(p)
-}
-
-func (w *gwStatusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// instrument wraps the mux with per-route latency histograms and
-// status counters under the fdagate_http_* families.
-func (g *Gateway) instrument(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := g.now()
-		sw := &gwStatusWriter{ResponseWriter: w}
-		next.ServeHTTP(sw, r)
-		if sw.status == 0 {
-			sw.status = http.StatusOK
-		}
-		route := r.Pattern
-		if route == "" {
-			route = "(unmatched)"
-		}
-		t := g.teleFor(route)
-		t.seconds.Observe(g.now() - start)
-		t.counter(route, sw.status).Inc()
-	})
+	return Instrument("fdagate", nil, mux)
 }
 
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -233,7 +154,12 @@ func (g *Gateway) handleCluster(w http.ResponseWriter, r *http.Request) {
 // transport failures and 503s on the next candidate, and namespace the
 // created job's id with the serving replica's prefix.
 func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request, kind string) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeJSONError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", MaxBodyBytes))
+		return
+	}
 	if err != nil {
 		writeJSONError(w, http.StatusBadRequest, "reading body: "+err.Error())
 		return
@@ -498,25 +424,49 @@ func copyProxyHeaders(w http.ResponseWriter, resp *http.Response, rep *Replica) 
 	w.Header().Set("X-Fdagate-Replica", rep.prefix)
 }
 
-// rewriteID namespaces the "id" field of a JSON object body with the
-// replica prefix. Field values are preserved byte-for-byte (raw
-// messages), so job records pass through the gateway bit-identical to
-// a direct fetch — only the id and the (deterministically sorted)
-// top-level key order change. Non-object or id-less bodies pass
-// through untouched.
+// rewriteID namespaces the top-level "id" string of a JSON object body
+// with the replica prefix by splicing the new value in place. Every
+// other byte — field values, key order, whitespace — passes through, so
+// a job record read through the gateway is byte-identical to a direct
+// fetch except for its id. As in a decode, the last "id" key wins. A
+// body that is not an object with a non-empty string id passes through
+// untouched.
 func rewriteID(body []byte, prefix string) []byte {
-	var m map[string]json.RawMessage
-	if err := json.Unmarshal(body, &m); err != nil || m["id"] == nil {
+	if !json.Valid(body) {
 		return body
 	}
-	if !rewriteIDField(m, prefix) {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
 		return body
 	}
-	out, err := json.Marshal(m)
+	var id json.RawMessage
+	var end int64
+	for dec.More() {
+		key, err := dec.Token()
+		if err != nil {
+			return body
+		}
+		var v json.RawMessage
+		if err := dec.Decode(&v); err != nil {
+			return body
+		}
+		if key == "id" {
+			id, end = v, dec.InputOffset()
+		}
+	}
+	var s string
+	if err := json.Unmarshal(id, &s); err != nil || s == "" {
+		return body
+	}
+	q, err := json.Marshal(prefix + "-" + s)
 	if err != nil {
 		return body
 	}
-	return append(out, '\n')
+	start := int(end) - len(id)
+	out := make([]byte, 0, len(body)+len(q)-len(id))
+	out = append(out, body[:start]...)
+	out = append(out, q...)
+	return append(out, body[end:]...)
 }
 
 // rewriteIDField namespaces m["id"] in place; reports whether the

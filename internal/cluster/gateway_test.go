@@ -78,7 +78,7 @@ func testGateway(t *testing.T, clk *fakeClock, stubs ...*stubReplica) (*Gateway,
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw := NewGateway(pool, GatewayOptions{Now: clk.clock()})
+	gw := NewGateway(pool, GatewayOptions{})
 	ts := httptest.NewServer(gw.Handler())
 	t.Cleanup(ts.Close)
 	return gw, ts
@@ -257,7 +257,7 @@ func TestGatewayAdmissionGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw := NewGateway(pool, GatewayOptions{Now: clk.clock(), MaxPending: 1})
+	gw := NewGateway(pool, GatewayOptions{MaxPending: 1})
 	ts := httptest.NewServer(gw.Handler())
 	t.Cleanup(ts.Close)
 

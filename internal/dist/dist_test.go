@@ -2,6 +2,9 @@ package dist
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
 	"math"
 	"reflect"
 	"sync"
@@ -158,7 +161,72 @@ func TestJobSpecDefaults(t *testing.T) {
 	if _, err := (JobSpec{Model: "nope", Strategy: "LinearFDA"}).WithDefaults().BuildConfig(); err == nil {
 		t.Fatal("unknown model accepted")
 	}
-	if _, err := StrategyFor("nope", 0, 1, core.Config{}); err == nil {
+	if _, err := (JobSpec{Strategy: "nope"}).BuildStrategy(core.Config{}); err == nil {
 		t.Fatal("unknown strategy accepted")
+	}
+}
+
+// TestJobSpecKeyGolden pins Key byte for byte. fdaserve journals these
+// keys and names resume checkpoints sessions/<first 8 bytes of their
+// SHA-256, hex>.ckpt, and fdagate routes by their full SHA-256, so a
+// changed key would orphan every journaled job and checkpoint and move
+// every affinity owner.
+func TestJobSpecKeyGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		spec JobSpec
+		key  string
+		sha  string
+	}{
+		{"defaulted", JobSpec{Model: "lenet5s", Strategy: "LinearFDA"},
+			"train|lenet5s|LinearFDA|0.052360000000000004|10|5|32|200|20|0|iid|1",
+			"1ffbfd69fc99a5c161cc8c565cfe6f3248f70ed0c21b45c6f71bec4c4e9ca706"},
+		{"spelled-out", JobSpec{Model: "vgg16s", Strategy: "FedAdam", Theta: 0.25, Tau: 7, K: 3, Batch: 16,
+			Steps: 400, EvalEvery: 40, Target: 0.95, Het: "dir0.5", Seed: 9},
+			"train|vgg16s|FedAdam|0.25|7|3|16|400|40|0.95|dir0.5|9",
+			"28a5e957432792444a63ca3549848c619c09f3083df7fc4c4b42563a9f25c69b"},
+		{"distributed", JobSpec{Model: "lenet5s", Strategy: "SketchFDA", K: 2, Steps: 30, Seed: 4, Distributed: true},
+			"train|lenet5s|SketchFDA|0.052360000000000004|10|2|32|30|20|0|iid|4|dist",
+			"d0b0f0e7d08b83e177217919e74a4cc85e3075dbb3c2a949f5ecb920f307c158"},
+	} {
+		key := tc.spec.WithDefaults().Key()
+		if key != tc.key {
+			t.Errorf("%s: key %q, want %q", tc.name, key, tc.key)
+		}
+		if sum := sha256.Sum256([]byte(key)); hex.EncodeToString(sum[:]) != tc.sha {
+			t.Errorf("%s: sha256 %x, want %s", tc.name, sum, tc.sha)
+		}
+	}
+}
+
+// TestJobSpecValidate: the admission checks reject every bad spec
+// without synthesizing data, with structured field errors for config
+// fields.
+func TestJobSpecValidate(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		spec  JobSpec
+		field string // wanted first *core.ConfigError field; "" = any error
+	}{
+		{"no model", JobSpec{Strategy: "LinearFDA"}, ""},
+		{"unknown model", JobSpec{Model: "nope", Strategy: "LinearFDA"}, ""},
+		{"unknown strategy", JobSpec{Model: "lenet5s", Strategy: "Nope"}, ""},
+		{"bad het", JobSpec{Model: "lenet5s", Strategy: "LinearFDA", Het: "bogus"}, ""},
+		{"negative k", JobSpec{Model: "lenet5s", Strategy: "LinearFDA", K: -2}, "K"},
+	} {
+		err := tc.spec.WithDefaults().Validate()
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+			continue
+		}
+		var cerr *core.ConfigError
+		if tc.field != "" && (!errors.As(err, &cerr) || cerr.Fields[0].Field != tc.field) {
+			t.Errorf("%s: error %v, want a *core.ConfigError on %s", tc.name, err, tc.field)
+		}
+	}
+	for _, strategy := range []string{"LinearFDA", "FedAdam"} {
+		if err := (JobSpec{Model: "lenet5s", Strategy: strategy}).WithDefaults().Validate(); err != nil {
+			t.Errorf("valid %s spec rejected: %v", strategy, err)
+		}
 	}
 }

@@ -78,8 +78,7 @@ type KindStats struct {
 type RunStats struct {
 	DurationSec float64 `json:"duration_sec"`
 	OfferedRPS  float64 `json:"offered_rps"`
-	// AchievedRPS is completed-OK requests per elapsed second — the
-	// throughput the saturation analysis compares against OfferedRPS.
+	// AchievedRPS is completed-OK requests per elapsed second.
 	AchievedRPS float64     `json:"achieved_rps"`
 	Scheduled   int64       `json:"scheduled"`
 	Issued      int64       `json:"issued"`
